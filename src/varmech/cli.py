@@ -36,7 +36,7 @@ from .helmholtz import (TwoFormField, check_chc, check_dhc_explicit,
 from .lagrangian import DiscreteLagrangian
 from .lagrangian import simulate as lagrangian_simulate
 from .nonholonomic import dla_simulate, rule_from_spec
-from .numkit import DEFAULT_NEWTON, NewtonConfig
+from .numkit import DEFAULT_NEWTON, NewtonConfig, march, pair_series
 from .sode import explicit_to_implicit, implicit_step
 from .systems import (ImplicitForceSystem, ImplicitRecurrenceSystem,
                       RollingDisk, VariationalSystem, make_system,
@@ -253,17 +253,16 @@ def render_csv(coords, energy_funcs, points, failed_at=None) -> str:
     ends with a ``# failed at step K`` comment line.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    names = list(energy_funcs)
-    lines = ["k," + ",".join(list(coords) + names)]
+    series = pair_series(energy_funcs, points)
+    lines = ["k," + ",".join(list(coords) + list(series))]
     total = points.shape[0]
     for k in range(total):
         cells = [str(k)]
         cells.extend(format(v, ".17g") for v in points[k])
         if k + 1 < total:
-            cells.extend(format(float(fn(points[k], points[k + 1])), ".17g")
-                         for fn in energy_funcs.values())
+            cells.extend(format(values[k], ".17g") for values in series.values())
         else:
-            cells.extend([""] * len(names))
+            cells.extend([""] * len(series))
         lines.append(",".join(cells))
     if failed_at is not None:
         lines.append(f"# failed at step {failed_at}")
@@ -324,18 +323,8 @@ def plan_simulation(cfg: RunConfig, bundle) -> _SimulationPlan:
         equation = bundle.equation
 
         def run():
-            pts = np.empty((steps + 2, equation.dim))
-            pts[0] = np.asarray(q0, dtype=float)
-            pts[1] = np.asarray(q1, dtype=float)
-            for k in range(steps):
-                try:
-                    pts[k + 2] = implicit_step(equation, pts[k], pts[k + 1],
-                                               cfg=newton)
-                except NumericsError as exc:
-                    raise StepFailure(f"implicit step {k} failed: {exc}",
-                                      step=k, cause=exc,
-                                      partial=pts[: k + 2].copy()) from exc
-            return pts
+            return march(lambda a, b: implicit_step(equation, a, b, cfg=newton),
+                         q0, q1, steps, "implicit step")
 
         return _SimulationPlan(bundle.coord_names(), bundle.energies, run)
 
@@ -396,6 +385,10 @@ def cmd_check(cfg: RunConfig, which: str, bundle) -> int:
 
     elif which == "isotropy":
         if isinstance(bundle, RollingDisk):
+            if cfg.box is not None:
+                raise ConfigError(
+                    "box does not apply to rolling-disk isotropy: its "
+                    "constraint-chart sampler has fixed ranges")
             fiber_name = cfg.fiber or "doubled-rate"
             if fiber_name not in bundle.fibers:
                 known = ", ".join(sorted(bundle.fibers))

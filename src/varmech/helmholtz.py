@@ -429,10 +429,8 @@ class ImplicitODE:
         qd = np.asarray(qd, dtype=float)
         if guess is None:
             guess = np.zeros(self.dim)
-        if cfg.jacobian is None:
-            cfg = NewtonConfig(abs_tol=cfg.abs_tol, max_iter=cfg.max_iter,
-                               jacobian=lambda a: self.C(q, qd, a))
-        return numkit.newton_solve(lambda a: self(q, qd, a), guess, cfg)
+        return numkit.newton_solve(lambda a: self(q, qd, a), guess, cfg,
+                                   jacobian=lambda a: self.C(q, qd, a))
 
 
 def chc_classical(phi: Callable, jet):

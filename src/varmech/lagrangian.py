@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import numkit
-from .errors import DomainError, StepFailure
+from .errors import DomainError
 from .numkit import DiffConfig, NewtonConfig, DEFAULT_DIFF, DEFAULT_NEWTON
 
 
@@ -182,18 +182,19 @@ def del_step(lag: DiscreteLagrangian, q0, q1, cfg: NewtonConfig = DEFAULT_NEWTON
     """Advance the recurrence one step: solve for q2 given (q0, q1).
 
     Newton starts from the linear predictor 2 q1 - q0.  The Jacobian is
-    the analytic D12(q1, q2) when available.  Note the residual floor of
-    finite-difference derivatives is about 1e-10, so Lagrangians without
-    analytic d1/d2 need a looser Newton tolerance than the default.
+    the analytic D12(q1, q2) when available.  Under the default
+    configuration the tolerance is floored at the residual's rounding
+    level, which grows with |q| (see ``numkit.newton_solve``).  Note
+    the residual floor of finite-difference derivatives is about 1e-10,
+    so Lagrangians without analytic d1/d2 need a looser Newton
+    tolerance than the default.
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     fixed = lag.D2(q0, q1)
-    residual = lambda q2: lag.D1(q1, q2) + fixed
-    if lag.d12 is not None and cfg.jacobian is None:
-        cfg = NewtonConfig(abs_tol=cfg.abs_tol, max_iter=cfg.max_iter,
-                           jacobian=lambda q2: lag.D12(q1, q2))
-    return numkit.newton_solve(residual, 2.0 * q1 - q0, cfg, lag.diff)
+    jacobian = None if lag.d12 is None else (lambda q2: lag.D12(q1, q2))
+    return numkit.newton_solve(lambda q2: lag.D1(q1, q2) + fixed, 2.0 * q1 - q0,
+                               cfg, lag.diff, jacobian=jacobian)
 
 
 def legendre_minus(lag: DiscreteLagrangian, q0, q1):
@@ -232,39 +233,22 @@ def hamiltonian_map(lag: DiscreteLagrangian, q0, p0,
     """
     q0 = np.asarray(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
-    residual = lambda q1: lag.D1(q0, q1) + p0
-    if lag.d12 is not None and cfg.jacobian is None:
-        cfg = NewtonConfig(abs_tol=cfg.abs_tol, max_iter=cfg.max_iter,
-                           jacobian=lambda q1: lag.D12(q0, q1))
-    q1 = numkit.newton_solve(residual, q0 + lag.h * p0, cfg, lag.diff)
+    jacobian = None if lag.d12 is None else (lambda q1: lag.D12(q0, q1))
+    q1 = numkit.newton_solve(lambda q1: lag.D1(q0, q1) + p0, q0 + lag.h * p0,
+                             cfg, lag.diff, jacobian=jacobian)
     return q1, lag.D2(q0, q1)
 
 
 def simulate(lag: DiscreteLagrangian, q0, q1, steps: int,
              energies: dict[str, Callable] | None = None,
              cfg: NewtonConfig = DEFAULT_NEWTON):
-    """Iterate del_step from the seed pair (q0, q1).
+    """March del_step from the seed pair (q0, q1).
 
     Returns (Trajectory, energy dict); the trajectory has steps + 2
     points and each energy series one value per consecutive pair.  A
-    failed step raises StepFailure carrying the step index.
+    numerical failure in a step raises StepFailure carrying the step
+    index; other exceptions propagate unchanged.
     """
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
-    points = np.empty((steps + 2, lag.dim))
-    points[0] = np.asarray(q0, dtype=float)
-    points[1] = np.asarray(q1, dtype=float)
-    for k in range(steps):
-        try:
-            points[k + 2] = del_step(lag, points[k], points[k + 1], cfg)
-        except Exception as exc:  # noqa: BLE001 - annotate and re-raise
-            raise StepFailure(f"del_step failed at step {k}: {exc}", step=k,
-                              cause=exc, partial=points[: k + 2].copy()) from exc
-    traj = Trajectory(points=points, h=lag.h)
-    series = {}
-    if energies:
-        for name, fn in energies.items():
-            series[name] = np.array(
-                [float(fn(points[k], points[k + 1])) for k in range(steps + 1)]
-            )
-    return traj, series
+    points = numkit.march(lambda a, b: del_step(lag, a, b, cfg), q0, q1, steps,
+                          "del_step")
+    return Trajectory(points=points, h=lag.h), numkit.pair_series(energies or {}, points)

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import numkit
-from .errors import DomainError, NumericsError, StepFailure
+from .errors import DomainError
 from .lagrangian import DiscreteLagrangian, Trajectory
 from .numkit import NewtonConfig, DEFAULT_NEWTON
 
@@ -124,33 +124,44 @@ class NonholonomicSystem:
         return w
 
 
-def discrete_constraint(system: NonholonomicSystem, rule: DiscretizationRule, qk, qk1):
-    """The rule's discretization of the constraints on a segment."""
+def _nodes(system, rule, qk, qk1):
+    """The rule's interior node points of a segment, each with the
+    constraint forms there: a list of (point, forms) pairs."""
+    points = [a * qk + b * qk1 for a, b, _ in rule.nodes]
+    return [(point, system.forms(point)) for point in points]
+
+
+def discrete_constraint(system: NonholonomicSystem, rule: DiscretizationRule, qk, qk1,
+                        nodes=None):
+    """The rule's discretization of the constraints on a segment;
+    ``nodes`` may carry ``_nodes(system, rule, qk, qk1)`` if known."""
     qk = np.asarray(qk, dtype=float)
     qk1 = np.asarray(qk1, dtype=float)
+    if nodes is None:
+        nodes = _nodes(system, rule, qk, qk1)
     v = (qk1 - qk) / system.lagrangian.h
     out = np.zeros(system.n_constraints)
-    for a, b, wt in rule.nodes:
-        out += wt * (system.forms(a * qk + b * qk1) @ v)
+    for (_, _, wt), (_, w) in zip(rule.nodes, nodes):
+        out += wt * (w @ v)
     return out
 
 
-def _constraint_jacobian(system, rule, q1, q2):
-    """Derivative of the discrete constraint with respect to q2."""
-    h = system.lagrangian.h
-    v = (q2 - q1) / h
+def _constraint_jacobian(system, rule, q1, q2, nodes=None):
+    """Derivative of the discrete constraint with respect to q2;
+    ``nodes`` as in discrete_constraint."""
     if system.constraint_grad is None:
         return numkit.fd_jacobian(
             lambda q: discrete_constraint(system, rule, q1, q), q2)
+    if nodes is None:
+        nodes = _nodes(system, rule, q1, q2)
+    h = system.lagrangian.h
+    v = (q2 - q1) / h
     out = np.zeros((system.n_constraints, system.dim))
-    for a, b, wt in rule.nodes:
-        point = a * q1 + b * q2
-        out += (wt / h) * system.forms(point)
+    for (_, b, wt), (point, w) in zip(rule.nodes, nodes):
+        out += (wt / h) * w
         if b != 0.0:
             grad = np.asarray(system.constraint_grad(point), dtype=float)
-            scale = wt * b
-            for row in range(system.n_constraints):
-                out[row] += scale * (v @ grad[row])
+            out += (wt * b) * (v @ grad)
     return out
 
 
@@ -160,10 +171,16 @@ def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
 
     The Newton unknown stacks q2 with the multipliers; the initial
     guess continues the segment linearly with zero multipliers unless
-    one is supplied.  Under the default configuration the convergence
-    tolerance is scaled by the size of the incoming momentum, since the
-    stationarity residual inherits that magnitude and its floating
-    point floor sits above an absolute 1e-12 for small steps.
+    one is supplied.  The convergence tolerance is scaled by the size
+    of the incoming momentum, since the stationarity residual inherits
+    that magnitude; under the default configuration it is also floored
+    at the residual's rounding level, which grows with |q| over long
+    runs (see ``numkit.newton_solve``).
+
+    The Newton matrix [[D12, -w(q1)^T], [dC/dq2, 0]] is one block per
+    step, refilled in place each iterate.  Newton calls the Jacobian at
+    the iterate of its last residual, which reuses that residual's node
+    points and forms: one forms evaluation per node per iterate.
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
@@ -172,61 +189,55 @@ def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
     lag = system.lagrangian
     d2_prev = lag.D2(q0, q1)
     w1t = system.forms(q1).T
+    last = [None, None]  # the iterate of the last residual and its nodes
 
     def residual(u):
         q2, lam = u[:n], u[n:]
-        top = lag.D1(q1, q2) + d2_prev - w1t @ lam
-        bottom = discrete_constraint(system, rule, q1, q2)
-        return np.concatenate([top, bottom])
+        nodes = _nodes(system, rule, q1, q2)
+        last[:] = u, nodes
+        return np.concatenate([lag.D1(q1, q2) + d2_prev - w1t @ lam,
+                               discrete_constraint(system, rule, q1, q2, nodes)])
+
+    block = np.zeros((n + m, n + m))
+    block[:n, n:] = -w1t
 
     def jacobian(u):
         q2 = u[:n]
-        out = np.zeros((n + m, n + m))
-        out[:n, :n] = lag.D12(q1, q2)
-        out[:n, n:] = -w1t
-        out[n:, :n] = _constraint_jacobian(system, rule, q1, q2)
-        return out
+        block[:n, :n] = lag.D12(q1, q2)
+        block[n:, :n] = _constraint_jacobian(system, rule, q1, q2,
+                                             last[1] if last[0] is u else None)
+        return block
 
     if guess is None:
         guess = np.concatenate([2 * q1 - q0, np.zeros(m)])
+    tol = cfg.abs_tol
     if cfg.jacobian is None:
-        scale = max(1.0, float(np.max(np.abs(d2_prev))))
-        cfg = NewtonConfig(abs_tol=cfg.abs_tol * scale, max_iter=cfg.max_iter,
-                           jacobian=jacobian)
-    u = numkit.newton_solve(residual, guess, cfg)
+        tol *= max(1.0, float(abs(d2_prev).max()))
+    u = numkit.newton_solve(residual, guess, cfg, jacobian=jacobian, tol=tol)
     return u[:n], u[n:]
 
 
 def dla_simulate(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
                  steps: int, energies: dict | None = None,
                  cfg: NewtonConfig = DEFAULT_NEWTON):
-    """Iterate dla_step.  Returns (trajectory, energy series, multipliers).
+    """March dla_step.  Returns (trajectory, energy series, multipliers).
 
     The trajectory holds steps + 2 points.  Energy functions take a
     consecutive pair and are evaluated on all steps + 1 of them; the
-    multiplier array has one row per solved step.  Failures are wrapped
-    in StepFailure with the step index.
+    multiplier array has one row per solved step.  Numerical failures
+    are wrapped in StepFailure with the step index.
     """
-    q0 = np.asarray(q0, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    points = np.empty((steps + 2, system.dim))
-    points[0], points[1] = q0, q1
-    lams = np.empty((steps, system.n_constraints))
-    for k in range(steps):
-        try:
-            q2, lam = dla_step(system, rule, points[k], points[k + 1], cfg=cfg)
-        except NumericsError as exc:
-            raise StepFailure(f"constrained step {k} failed: {exc}",
-                              step=k, cause=exc,
-                              partial=points[: k + 2].copy()) from exc
-        points[k + 2] = q2
-        lams[k] = lam
-    traj = Trajectory(points=points, h=system.lagrangian.h)
-    series = {}
-    if energies:
-        for name, func in energies.items():
-            series[name] = np.array([func(a, b) for a, b in traj.pairs()])
-    return traj, series, lams
+    lams = np.empty((max(steps, 0), system.n_constraints))  # march rejects steps < 0
+    rows = iter(lams)
+
+    def step(a, b):
+        q2, lam = dla_step(system, rule, a, b, cfg=cfg)
+        next(rows)[:] = lam
+        return q2
+
+    points = numkit.march(step, q0, q1, steps, "constrained step")
+    return (Trajectory(points=points, h=system.lagrangian.h),
+            numkit.pair_series(energies or {}, points), lams)
 
 
 def midpoint_energy(func: Callable, h: float) -> Callable:

@@ -1,12 +1,20 @@
-"""Small numerical kernel: finite differences, Newton, RK4, quadrature.
+"""Small numerical kernel: finite differences, Newton, the stepping loop,
+RK4, quadrature.
 
 All geometry modules sit on top of these routines, so their conventions
 are fixed here once:
 
 * finite-difference steps are relative, ``eps * max(1, |x_i|)``, with a
   central stencil by default;
-* linear systems go through LU with partial pivoting and a hard pivot
-  floor, so a singular Jacobian surfaces as an exception instead of NaNs;
+* every linear system goes through one path, ``lu_solve``: LAPACK's
+  partial-pivot LU plus a row-scaled conditioning test, so a singular or
+  near-singular Jacobian surfaces as SingularJacobian instead of NaNs or
+  a huge step;
+* every time-stepping integrator runs in ``march``, which turns a
+  numerical failure (NumericsError) into StepFailure and lets any other
+  exception through untouched;
+* the default Newton tolerance is floored at the residual's rounding
+  level, which grows with the size of the points;
 * the reference ODE propagator is fixed-step classical RK4.
 
 Everything is pure and allocation-light; callers may evaluate these
@@ -20,14 +28,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, NoConvergence, SingularJacobian
+from .errors import (DomainError, EvaluationError, NoConvergence, NumericsError,
+                     SingularJacobian, StepFailure)
 
 # Default relative step for first-order central differences.
 FD_STEP_SCALE = 2.0 ** -17
 # Wider default for the order-4 stencil (optimum grows with stencil order).
 FD4_STEP_SCALE = 1e-3
-# Pivot threshold: a pivot below this times the row norm is treated as zero.
+# Singularity threshold of lu_solve: a row-scaled condition number above
+# 1/PIVOT_FLOOR counts as singular at working precision.
 PIVOT_FLOOR = 1e-14
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -54,7 +65,11 @@ class DiffConfig:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Newton iteration settings; `jacobian` may hold an analytic callable."""
+    """Newton iteration settings; `jacobian` may hold an analytic callable.
+
+    Only DEFAULT_NEWTON floors ``abs_tol`` at the rounding level (see
+    newton_solve); any other instance is taken literally.
+    """
 
     abs_tol: float = 1e-12
     max_iter: int = 50
@@ -190,78 +205,119 @@ def antisymmetrize(m):
 def lu_solve(a, rhs):
     """Solve ``a x = rhs``, raising SingularJacobian on degeneracy.
 
-    Well-conditioned systems go through the library solver; when that
-    fails or returns a solution whose residual is out of proportion the
-    scaled partial-pivot elimination below runs instead and raises
-    SingularJacobian when the best available pivot falls below
-    PIVOT_FLOOR times the infinity norm of its row, which is the signal
-    that the matrix is singular at working precision.
+    The package's one linear-solve path: LAPACK's partial-pivot LU
+    (``np.linalg.solve``), then one conditioning test.  After scaling
+    each row by its largest entry, a solution larger than the scaled
+    right-hand side over PIVOT_FLOOR proves a condition number above
+    1/PIVOT_FLOOR: singular at working precision.  An exactly singular
+    matrix or a non-finite solution raises too.
     """
-    a = np.array(a, dtype=float)
-    x = np.array(rhs, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    a = np.asarray(a, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("lu_solve needs a square matrix")
     try:
-        fast = np.linalg.solve(a, x)
-    except np.linalg.LinAlgError:
-        fast = None
-    if fast is not None:
-        resid = float(abs(a @ fast - x).max())
-        bound = 1e-10 * max(float(abs(x).max()),
-                            float(abs(a).max()) * float(abs(fast).max()),
-                            1e-290)
-        if resid <= bound:
-            return fast
-    absa = abs(a)
-    row_scale = np.maximum(absa.max(axis=1), 1e-300)
-    for col in range(n):
-        piv = col + int((absa[col:, col] / row_scale[col:]).argmax())
-        if absa[piv, col] < PIVOT_FLOOR * row_scale[piv]:
-            raise SingularJacobian(
-                f"pivot {a[piv, col]:.3e} below floor in column {col}"
-            )
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            absa[[col, piv]] = absa[[piv, col]]
-            x[col], x[piv] = x[piv], x[col]
-            row_scale[col], row_scale[piv] = row_scale[piv], row_scale[col]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col + 1 :] -= factors[:, None] * a[col, col + 1 :]
-        np.abs(a[col + 1 :, col + 1 :], out=absa[col + 1 :, col + 1 :])
-        x[col + 1 :] -= factors * x[col]
-    for col in range(n - 1, -1, -1):
-        x[col] = (x[col] - a[col, col + 1 :] @ x[col + 1 :]) / a[col, col]
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"matrix is singular: {exc}") from exc
+    size = abs(x).max()
+    scaled_rhs = (abs(rhs) / abs(a).max(axis=1)).max()
+    if not size < np.inf or size * PIVOT_FLOOR > scaled_rhs:
+        raise SingularJacobian(
+            f"solution of size {size:.3e} against a row-scaled right-hand "
+            f"side of {scaled_rhs:.3e}: condition number above {1 / PIVOT_FLOOR:.0e}")
     return x
 
 
-def newton_solve(f, x0, cfg: NewtonConfig = DEFAULT_NEWTON, diff: DiffConfig = DEFAULT_DIFF):
+def _rounding_floor(jac, x):
+    """A few times the rounding level of a residual with Jacobian ``jac``
+    near ``x``; no tolerance below it can be met."""
+    return 4.0 * EPS * float(abs(jac).sum(axis=1).max()) * max(1.0, float(abs(x).max()))
+
+
+def newton_solve(f, x0, cfg: NewtonConfig = DEFAULT_NEWTON, diff: DiffConfig = DEFAULT_DIFF,
+                 *, jacobian: Callable | None = None, tol: float | None = None):
     """Solve ``f(x) = 0`` from ``x0``; returns the root.
 
-    The Jacobian comes from ``cfg.jacobian`` when supplied and from
-    central differences otherwise.  Raises NoConvergence when max_iter
-    runs out and SingularJacobian when a linear solve fails.
+    The Jacobian is ``cfg.jacobian`` when set, else the caller's
+    analytic ``jacobian``, else central differences; it is always
+    called at the point of the last residual evaluation.  Iteration
+    stops once the largest residual component is at most ``tol``
+    (default ``cfg.abs_tol``).  Under DEFAULT_NEWTON that tolerance is
+    floored at the residual's rounding level, ``4 eps ||J||_inf
+    max(1, ||x||_inf)`` with J the last Newton matrix, which long
+    integrations reach as |x| grows; the floor is only evaluated when an
+    iterate misses the plain tolerance.
+
+    Raises EvaluationError on a non-finite residual, NoConvergence when
+    max_iter runs out and SingularJacobian when a linear solve fails.
     """
+    jacobian = cfg.jacobian or jacobian
+    if tol is None:
+        tol = cfg.abs_tol
+    floored = cfg is DEFAULT_NEWTON
+    limit = tol
     x = _asvec(x0).copy()
     r = _asvec(f(x))
-    _check_finite(r, "in newton_solve residual")
-    best = float(np.max(np.abs(r)))
-    for it in range(cfg.max_iter):
-        if best <= cfg.abs_tol:
+    best = _residual_size(r)
+    for _ in range(cfg.max_iter):
+        if best <= limit:
             return x
-        jac = cfg.jacobian(x) if cfg.jacobian is not None else fd_jacobian(f, x, diff)
-        dx = lu_solve(jac, r)
-        x = x - dx
+        jac = jacobian(x) if jacobian is not None else fd_jacobian(f, x, diff)
+        x = x - lu_solve(jac, r)
         r = _asvec(f(x))
-        _check_finite(r, "in newton_solve residual")
-        best = float(np.max(np.abs(r)))
-    if best <= cfg.abs_tol:
+        best = _residual_size(r)
+        if floored and best > tol:
+            limit = max(tol, _rounding_floor(jac, x))
+    if best <= limit:
         return x
     raise NoConvergence(
         f"newton_solve stalled at residual {best:.3e} after {cfg.max_iter} iterations",
         residual=best,
         iterations=cfg.max_iter,
     )
+
+
+def _residual_size(r):
+    """Largest residual component; NaN or inf there means a non-finite
+    entry, so the one reduction is also the finiteness check."""
+    size = float(abs(r).max())
+    if not size < np.inf:
+        raise EvaluationError("non-finite value encountered in newton_solve residual")
+    return size
+
+
+def march(step, q0, q1, steps: int, label: str = "step"):
+    """The package's one stepping loop: iterate ``q_{k+2} = step(q_k,
+    q_{k+1})`` from the seed pair into a (steps + 2, dim) array.
+
+    A NumericsError in step k becomes StepFailure carrying k, the cause
+    and the points computed before it; any other exception, such as a
+    bug in a user callable, propagates as itself.
+    """
+    if steps < 0:
+        raise DomainError("steps must be nonnegative")
+    q0 = _asvec(q0)
+    points = np.empty((steps + 2, q0.size))
+    points[0] = q0
+    points[1] = np.asarray(q1, dtype=float)
+    for k in range(steps):
+        try:
+            points[k + 2] = step(points[k], points[k + 1])
+        except NumericsError as exc:
+            raise StepFailure(f"{label} failed at step {k}: {exc}", step=k,
+                              cause=exc, partial=points[: k + 2].copy()) from exc
+    return points
+
+
+def pair_series(funcs, points):
+    """Each function of a consecutive pair evaluated along ``points``:
+    a dict of arrays of length len(points) - 1, in the order of
+    ``funcs``."""
+    count = len(points) - 1
+    return {name: np.fromiter((float(fn(a, b)) for a, b in zip(points[:-1], points[1:])),
+                              dtype=float, count=count)
+            for name, fn in funcs.items()}
 
 
 def rk4(f, y0, t0, t1, max_step: float = 1e-3):

@@ -114,10 +114,8 @@ def implicit_step(eq: ImplicitSOdE, q0, q1, guess=None,
     q1 = np.asarray(q1, dtype=float)
     if guess is None:
         guess = 2.0 * q1 - q0
-    if cfg.jacobian is None:
-        cfg = NewtonConfig(abs_tol=cfg.abs_tol, max_iter=cfg.max_iter,
-                           jacobian=lambda q2: eq.C(q0, q1, q2))
-    return numkit.newton_solve(lambda q2: eq(q0, q1, q2), guess, cfg, eq.diff)
+    return numkit.newton_solve(lambda q2: eq(q0, q1, q2), guess, cfg, eq.diff,
+                               jacobian=lambda q2: eq.C(q0, q1, q2))
 
 
 def tangent_basis(eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):

@@ -211,6 +211,15 @@ def test_isotropy_report_records_fiber_and_rule(tmp_path):
     assert doc["verdict"] == "fail"
 
 
+def test_isotropy_on_rolling_disk_rejects_box(tmp_path, capsys):
+    out = tmp_path / "iso.json"
+    rc = main(["check", "isotropy", "--system", "rolling-disk", "--box", "0.1",
+               "--points", "8", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "box" in capsys.readouterr().err
+
+
 def test_check_two_form_on_extended_disk(tmp_path):
     out = tmp_path / "w.json"
     rc = main(["check", "two-form", "--system", "extended-disk",

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from varmech import lagrangian as lg
 from varmech.errors import DomainError, StepFailure
 from varmech.numkit import NewtonConfig
+from varmech.systems import make_system
 
 
 def kinetic_lagrangian(dim, h):
@@ -180,6 +181,31 @@ def test_simulate_step_failure_annotated():
     with pytest.raises(StepFailure) as err:
         lg.simulate(bad, np.array([1.0]), np.array([0.0]), steps=3)
     assert err.value.step == 0
+
+
+def test_simulate_user_bug_surfaces_as_itself():
+    def d1(a, b):
+        raise ValueError("user bug")
+
+    buggy = lg.DiscreteLagrangian(
+        dim=1, h=0.1,
+        value=lambda a, b: 0.0,
+        d1=d1,
+        d2=lambda a, b: (b - a) / 0.1,
+        d12=lambda a, b: np.array([[-10.0]]),
+    )
+    with pytest.raises(ValueError, match="user bug"):
+        lg.simulate(buggy, np.array([0.0]), np.array([0.1]), steps=3)
+
+
+def test_simulate_long_free_particle_run_completes():
+    # Past step 10238 the residual's rounding level, which grows with
+    # |q| / h, exceeds the plain 1e-12 tolerance; the default tolerance
+    # is floored there, so the run must finish and stay affine.
+    fp = make_system("toy-free-particle")
+    traj, _ = lg.simulate(fp.lagrangian, *fp.initial, steps=10_300)
+    k = np.arange(len(traj))[:, None]
+    assert_allclose(traj.points, k * fp.initial[1], rtol=1e-9)
 
 
 def test_trajectory_pairs_and_validation():

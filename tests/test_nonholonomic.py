@@ -153,6 +153,18 @@ def test_simulate_shapes_and_energy_constancy():
         assert rel < 1e-10, name
 
 
+def test_long_catalogue_run_completes():
+    # The catalogue pair used to stall at step 10219, where the residual's
+    # rounding level (growing with |q| / h^2) passed the Newton tolerance.
+    disk = rolling_disk()
+    rule = midpoint_rule()
+    traj, _, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 10_300)
+    assert traj.points.shape == (10_302, 4)
+    constraint = max(np.max(np.abs(discrete_constraint(disk.system, rule, a, b)))
+                     for a, b in traj.pairs()[-100:])
+    assert constraint < 1e-9
+
+
 def test_simulate_wraps_failures_with_step_index():
     # the second stationarity equation is constant and unsatisfiable, so
     # the Newton matrix carries a zero row and the first step must fail
@@ -170,6 +182,13 @@ def test_simulate_wraps_failures_with_step_index():
     with pytest.raises(StepFailure) as info:
         dla_simulate(system, midpoint_rule(), np.zeros(2), np.ones(2), 3)
     assert info.value.step == 0
+
+
+def test_simulate_rejects_negative_steps():
+    disk = rolling_disk(H)
+    rule = midpoint_rule()
+    with pytest.raises(DomainError):
+        dla_simulate(disk.system, rule, *disk.initial_pair(rule), -1)
 
 
 def test_rest_point_stays_at_rest():

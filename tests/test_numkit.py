@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from varmech import numkit
-from varmech.errors import DomainError, EvaluationError, NoConvergence, SingularJacobian
+from varmech.errors import (DomainError, EvaluationError, NoConvergence,
+                            SingularJacobian, StepFailure)
 
 
 def test_fd_jacobian_quadratic_map():
@@ -83,6 +84,40 @@ def test_lu_solve_singular_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularJacobian):
         numkit.lu_solve(a, np.array([1.0, 1.0]))
+
+
+def test_lu_solve_near_singular_raises():
+    # Rows equal to working precision: LAPACK returns an answer of size
+    # 9e14, which the conditioning test must refuse.
+    with pytest.raises(SingularJacobian):
+        numkit.lu_solve([[1.0, 1.0], [1.0, 1.0 + 1e-15]], [1.0, 0.0])
+
+
+def test_lu_solve_badly_scaled_rows_are_fine():
+    # Row scaling is part of the test: a well-conditioned system with one
+    # row multiplied by 1e-20 still solves.
+    a = np.array([[2.0, 1.0], [1e-20, 3e-20]])
+    b = np.array([1.0, 2e-20])
+    assert_allclose(numkit.lu_solve(a, b), np.linalg.solve(a, b), rtol=1e-15)
+
+
+def test_march_wraps_numerical_failures_only():
+    def step(q0, q1):
+        if q1[0] >= 2.0:
+            raise NoConvergence("stuck")
+        return 2 * q1 - q0
+
+    with pytest.raises(StepFailure) as info:
+        numkit.march(step, [0.0], [1.0], 5, "probe")
+    assert info.value.step == 1
+    assert_allclose(info.value.partial[:, 0], [0.0, 1.0, 2.0])
+    assert "probe failed at step 1" in str(info.value)
+
+    def buggy(q0, q1):
+        raise ValueError("user bug")
+
+    with pytest.raises(ValueError):
+        numkit.march(buggy, [0.0], [1.0], 5)
 
 
 def test_newton_sqrt2():

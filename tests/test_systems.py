@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from varmech import numkit, systems
 from varmech.errors import DomainError, UnknownSystem
 from varmech.helmholtz import functional_residual_1d
-from varmech.lagrangian import del_residual
+from varmech.lagrangian import del_residual, simulate
 from varmech.nonholonomic import euler_a_rule, midpoint_rule
 from varmech.sode import implicit_step
 
@@ -156,6 +156,15 @@ def test_backward_error_gauge_free_dynamics():
         q2 = sys.recurrence(q0, q1)
         assert np.max(np.abs(del_residual(sys.lagrangian, q0, q1, q2))) < 1e-13
         assert_allclose(sys.fiber(a, b), -sys.lagrangian.D1(a, b), atol=1e-15)
+
+
+@pytest.mark.parametrize("gauge", [0.0, 1.0, -0.7])
+def test_backward_error_shadow_energy_is_conserved(gauge):
+    be = systems.backward_error(h=0.1, gauge=gauge)
+    traj, series = simulate(be.lagrangian, np.array([0.3]), np.array([0.35]),
+                            2000, energies=be.energies)
+    shadow = series["shadow"]
+    assert np.ptp(shadow) / abs(np.mean(shadow)) < 1e-12
 
 
 def test_implicit_exp_jets_sit_on_the_manifold():
