@@ -182,9 +182,9 @@ def del_step(lag: DiscreteLagrangian, q0, q1, cfg: NewtonConfig = DEFAULT_NEWTON
     """Advance the recurrence one step: solve for q2 given (q0, q1).
 
     Newton starts from the linear predictor 2 q1 - q0.  The Jacobian is
-    the analytic D12(q1, q2) when available.  Under the default
-    configuration the tolerance is floored at the residual's rounding
-    level, which grows with |q| (see ``numkit.newton_solve``).  Note
+    the analytic D12(q1, q2) when available.  Unless ``cfg.abs_tol``
+    is set, the tolerance is floored at the residual's rounding level,
+    which grows with |q| (see ``numkit.newton_solve``).  Note
     the residual floor of finite-difference derivatives is about 1e-10,
     so Lagrangians without analytic d1/d2 need a looser Newton
     tolerance than the default.

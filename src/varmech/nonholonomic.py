@@ -124,21 +124,15 @@ class NonholonomicSystem:
         return w
 
 
-def _nodes(system, rule, qk, qk1):
-    """The rule's interior node points of a segment, each with the
-    constraint forms there: a list of (point, forms) pairs."""
+def _node_forms(system, rule, qk, qk1):
+    """The rule's node points on a segment, each with the constraint
+    forms there: a list of (point, forms) pairs."""
     points = [a * qk + b * qk1 for a, b, _ in rule.nodes]
     return [(point, system.forms(point)) for point in points]
 
 
-def discrete_constraint(system: NonholonomicSystem, rule: DiscretizationRule, qk, qk1,
-                        nodes=None):
-    """The rule's discretization of the constraints on a segment;
-    ``nodes`` may carry ``_nodes(system, rule, qk, qk1)`` if known."""
-    qk = np.asarray(qk, dtype=float)
-    qk1 = np.asarray(qk1, dtype=float)
-    if nodes is None:
-        nodes = _nodes(system, rule, qk, qk1)
+def _constraint_at_nodes(system, rule, qk, qk1, nodes):
+    """discrete_constraint from the segment's ``_node_forms``."""
     v = (qk1 - qk) / system.lagrangian.h
     out = np.zeros(system.n_constraints)
     for (_, _, wt), (_, w) in zip(rule.nodes, nodes):
@@ -146,14 +140,9 @@ def discrete_constraint(system: NonholonomicSystem, rule: DiscretizationRule, qk
     return out
 
 
-def _constraint_jacobian(system, rule, q1, q2, nodes=None):
-    """Derivative of the discrete constraint with respect to q2;
-    ``nodes`` as in discrete_constraint."""
-    if system.constraint_grad is None:
-        return numkit.fd_jacobian(
-            lambda q: discrete_constraint(system, rule, q1, q), q2)
-    if nodes is None:
-        nodes = _nodes(system, rule, q1, q2)
+def _grad_jacobian_at_nodes(system, rule, q1, q2, nodes):
+    """The analytic _constraint_jacobian from the segment's
+    ``_node_forms``; needs ``system.constraint_grad``."""
     h = system.lagrangian.h
     v = (q2 - q1) / h
     out = np.zeros((system.n_constraints, system.dim))
@@ -165,6 +154,21 @@ def _constraint_jacobian(system, rule, q1, q2, nodes=None):
     return out
 
 
+def discrete_constraint(system: NonholonomicSystem, rule: DiscretizationRule, qk, qk1):
+    """The rule's discretization of the constraints on a segment."""
+    qk = np.asarray(qk, dtype=float)
+    qk1 = np.asarray(qk1, dtype=float)
+    return _constraint_at_nodes(system, rule, qk, qk1, _node_forms(system, rule, qk, qk1))
+
+
+def _constraint_jacobian(system, rule, q1, q2):
+    """Derivative of the discrete constraint with respect to q2."""
+    if system.constraint_grad is None:
+        return numkit.fd_jacobian(
+            lambda q: discrete_constraint(system, rule, q1, q), q2)
+    return _grad_jacobian_at_nodes(system, rule, q1, q2, _node_forms(system, rule, q1, q2))
+
+
 def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
              guess=None, cfg: NewtonConfig = DEFAULT_NEWTON):
     """One constrained step: returns (q2, multipliers).
@@ -173,14 +177,15 @@ def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
     guess continues the segment linearly with zero multipliers unless
     one is supplied.  The convergence tolerance is scaled by the size
     of the incoming momentum, since the stationarity residual inherits
-    that magnitude; under the default configuration it is also floored
+    that magnitude; unless ``cfg.abs_tol`` is set it is also floored
     at the residual's rounding level, which grows with |q| over long
     runs (see ``numkit.newton_solve``).
 
     The Newton matrix [[D12, -w(q1)^T], [dC/dq2, 0]] is one block per
     step, refilled in place each iterate.  Newton calls the Jacobian at
-    the iterate of its last residual, which reuses that residual's node
-    points and forms: one forms evaluation per node per iterate.
+    the iterate of its last residual, whose node points and forms the
+    analytic constraint Jacobian reuses: one forms evaluation per node
+    per iterate.
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
@@ -189,14 +194,14 @@ def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
     lag = system.lagrangian
     d2_prev = lag.D2(q0, q1)
     w1t = system.forms(q1).T
-    last = [None, None]  # the iterate of the last residual and its nodes
+    last = [None, None]  # the iterate of the last residual and its node forms
 
     def residual(u):
         q2, lam = u[:n], u[n:]
-        nodes = _nodes(system, rule, q1, q2)
+        nodes = _node_forms(system, rule, q1, q2)
         last[:] = u, nodes
         return np.concatenate([lag.D1(q1, q2) + d2_prev - w1t @ lam,
-                               discrete_constraint(system, rule, q1, q2, nodes)])
+                               _constraint_at_nodes(system, rule, q1, q2, nodes)])
 
     block = np.zeros((n + m, n + m))
     block[:n, n:] = -w1t
@@ -204,16 +209,16 @@ def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
     def jacobian(u):
         q2 = u[:n]
         block[:n, :n] = lag.D12(q1, q2)
-        block[n:, :n] = _constraint_jacobian(system, rule, q1, q2,
-                                             last[1] if last[0] is u else None)
+        if system.constraint_grad is None or last[0] is not u:
+            block[n:, :n] = _constraint_jacobian(system, rule, q1, q2)
+        else:
+            block[n:, :n] = _grad_jacobian_at_nodes(system, rule, q1, q2, last[1])
         return block
 
     if guess is None:
         guess = np.concatenate([2 * q1 - q0, np.zeros(m)])
-    tol = cfg.abs_tol
-    if cfg.jacobian is None:
-        tol *= max(1.0, float(abs(d2_prev).max()))
-    u = numkit.newton_solve(residual, guess, cfg, jacobian=jacobian, tol=tol)
+    u = numkit.newton_solve(residual, guess, cfg, jacobian=jacobian,
+                            tol_scale=max(1.0, float(abs(d2_prev).max())))
     return u[:n], u[n:]
 
 

@@ -13,8 +13,9 @@ are fixed here once:
 * every time-stepping integrator runs in ``march``, which turns a
   numerical failure (NumericsError) into StepFailure and lets any other
   exception through untouched;
-* the default Newton tolerance is floored at the residual's rounding
-  level, which grows with the size of the points;
+* the default Newton tolerance (``NewtonConfig.abs_tol`` left at None)
+  is floored at the residual's rounding level, which grows with the
+  size of the points;
 * the reference ODE propagator is fixed-step classical RK4.
 
 Everything is pure and allocation-light; callers may evaluate these
@@ -23,7 +24,7 @@ routines concurrently on different points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,8 @@ FD4_STEP_SCALE = 1e-3
 # Singularity threshold of lu_solve: a row-scaled condition number above
 # 1/PIVOT_FLOOR counts as singular at working precision.
 PIVOT_FLOOR = 1e-14
+# Newton residual tolerance of NewtonConfig(abs_tol=None).
+NEWTON_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
 
 
@@ -65,15 +68,16 @@ class DiffConfig:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Newton iteration settings; `jacobian` may hold an analytic callable.
+    """Newton iteration settings.
 
-    Only DEFAULT_NEWTON floors ``abs_tol`` at the rounding level (see
-    newton_solve); any other instance is taken literally.
+    abs_tol: the residual tolerance.  None, the default, means
+        NEWTON_TOL floored at the residual's rounding level (see
+        newton_solve); a number is taken literally.
+    max_iter: the iteration limit.
     """
 
-    abs_tol: float = 1e-12
+    abs_tol: float | None = None
     max_iter: int = 50
-    jacobian: Callable | None = field(default=None, compare=False)
 
 
 DEFAULT_DIFF = DiffConfig()
@@ -236,26 +240,25 @@ def _rounding_floor(jac, x):
 
 
 def newton_solve(f, x0, cfg: NewtonConfig = DEFAULT_NEWTON, diff: DiffConfig = DEFAULT_DIFF,
-                 *, jacobian: Callable | None = None, tol: float | None = None):
+                 *, jacobian: Callable | None = None, tol_scale: float = 1.0):
     """Solve ``f(x) = 0`` from ``x0``; returns the root.
 
-    The Jacobian is ``cfg.jacobian`` when set, else the caller's
-    analytic ``jacobian``, else central differences; it is always
-    called at the point of the last residual evaluation.  Iteration
-    stops once the largest residual component is at most ``tol``
-    (default ``cfg.abs_tol``).  Under DEFAULT_NEWTON that tolerance is
-    floored at the residual's rounding level, ``4 eps ||J||_inf
-    max(1, ||x||_inf)`` with J the last Newton matrix, which long
-    integrations reach as |x| grows; the floor is only evaluated when an
-    iterate misses the plain tolerance.
+    The Jacobian is the caller's analytic ``jacobian`` when given, else
+    central differences; it is always called at the point of the last
+    residual evaluation.  Iteration stops once the largest residual
+    component is at most the tolerance times ``tol_scale``, the
+    residual's natural size.  With ``cfg.abs_tol`` None the tolerance is
+    NEWTON_TOL, floored at the residual's rounding level ``4 eps
+    ||J||_inf max(1, ||x||_inf)`` with J the last Newton matrix, which
+    long integrations reach as |x| grows; the floor is only evaluated
+    when an iterate misses the plain tolerance.  A numeric
+    ``cfg.abs_tol`` is taken literally.
 
     Raises EvaluationError on a non-finite residual, NoConvergence when
     max_iter runs out and SingularJacobian when a linear solve fails.
     """
-    jacobian = cfg.jacobian or jacobian
-    if tol is None:
-        tol = cfg.abs_tol
-    floored = cfg is DEFAULT_NEWTON
+    floored = cfg.abs_tol is None
+    tol = (NEWTON_TOL if floored else cfg.abs_tol) * tol_scale
     limit = tol
     x = _asvec(x0).copy()
     r = _asvec(f(x))

@@ -1,12 +1,15 @@
 """Discrete Lagrangian mechanics: stepping, Legendre transforms, two-form."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from varmech import lagrangian as lg
 from varmech.errors import DomainError, StepFailure
-from varmech.numkit import NewtonConfig
+from varmech.numkit import DEFAULT_NEWTON, NewtonConfig
 from varmech.systems import make_system
 
 
@@ -206,6 +209,23 @@ def test_simulate_long_free_particle_run_completes():
     traj, _ = lg.simulate(fp.lagrangian, *fp.initial, steps=10_300)
     k = np.arange(len(traj))[:, None]
     assert_allclose(traj.points, k * fp.initial[1], rtol=1e-9)
+
+
+def test_default_tolerance_is_floored_for_every_unset_abs_tol():
+    # A literal 1e-12 stalls once the residual's rounding level passes it;
+    # every config that leaves abs_tol unset, however it was made, is
+    # floored there and takes the stalled step.
+    fp = make_system("toy-free-particle")
+    with pytest.raises(StepFailure) as info:
+        lg.simulate(fp.lagrangian, *fp.initial, steps=10_300,
+                    cfg=NewtonConfig(abs_tol=1e-12))
+    assert info.value.step > 10_000
+    q0, q1 = info.value.partial[-2:]
+    for cfg in (NewtonConfig(), NewtonConfig(max_iter=100),
+                dataclasses.replace(DEFAULT_NEWTON),
+                pickle.loads(pickle.dumps(DEFAULT_NEWTON))):
+        assert_allclose(lg.del_step(fp.lagrangian, q0, q1, cfg), 2 * q1 - q0,
+                        rtol=1e-12)
 
 
 def test_trajectory_pairs_and_validation():

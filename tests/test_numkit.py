@@ -141,9 +141,32 @@ def test_newton_iteration_count_quadratic():
 
 
 def test_newton_analytic_jacobian_used():
-    cfg = numkit.NewtonConfig(jacobian=lambda x: np.array([[2.0 * x[0]]]))
-    root = numkit.newton_solve(lambda x: np.array([x[0] ** 2 - 2.0]), np.array([1.0]), cfg)
+    calls = {"f": 0, "jac": 0}
+
+    def f(x):
+        calls["f"] += 1
+        return np.array([x[0] ** 2 - 2.0])
+
+    def jacobian(x):
+        calls["jac"] += 1
+        return np.array([[2.0 * x[0]]])
+
+    root = numkit.newton_solve(f, np.array([1.0]), jacobian=jacobian)
     assert_allclose(root[0], np.sqrt(2.0), atol=1e-12)
+    # no finite differences: one residual per Jacobian plus the initial one
+    assert calls["jac"] > 0
+    assert calls["f"] == calls["jac"] + 1
+
+
+def test_newton_tol_scale_multiplies_tolerance():
+    # x - 1e-9 = 0 from 0: the first residual, 1e-9, passes a tolerance
+    # of 1e-12 scaled by 1e4 but not the plain one.
+    def f(x):
+        return np.array([x[0] - 1e-9])
+
+    cfg = numkit.NewtonConfig(abs_tol=1e-12)
+    assert numkit.newton_solve(f, np.array([0.0]), cfg, tol_scale=1e4)[0] == 0.0
+    assert numkit.newton_solve(f, np.array([0.0]), cfg)[0] == 1e-9
 
 
 def test_newton_no_real_root_raises():
