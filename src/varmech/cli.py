@@ -21,7 +21,6 @@ still written).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -41,18 +40,6 @@ from .sode import explicit_to_implicit, implicit_step
 from .systems import (ImplicitForceSystem, ImplicitRecurrenceSystem,
                       RollingDisk, VariationalSystem, make_system,
                       system_names)
-
-CHECK_NAMES = ("dhc-explicit", "dhc-implicit", "isotropy", "chc", "ihc",
-               "two-form")
-
-DEFAULT_CHECK_TOL = {
-    "dhc-explicit": 1e-8,
-    "dhc-implicit": 1e-8,
-    "isotropy": 1e-6,
-    "chc": 1e-7,
-    "ihc": 1e-7,
-    "two-form": 1e-6,
-}
 
 DEFAULT_STEPS = 100
 DEFAULT_POINTS = 32
@@ -352,109 +339,126 @@ def cmd_simulate(cfg: RunConfig, bundle) -> int:
 # check
 
 
-def cmd_check(cfg: RunConfig, which: str, bundle) -> int:
-    tol = cfg.tol if cfg.tol is not None else DEFAULT_CHECK_TOL[which]
-    count = cfg.points if cfg.points is not None else DEFAULT_POINTS
-    seed = cfg.seed if cfg.seed is not None else 0
+def _box_samples(cfg: RunConfig, bundle, params: dict):
+    """Pair points in the sampling box; records box and h in params."""
     box = cfg.box if cfg.box is not None else 1.0
-    params = {"tol": tol, "points": count, "seed": seed}
+    params.update(box=box, h=bundle.h)
+    return sample_box(2 * bundle.dim, params["points"], box=box, seed=params["seed"])
 
-    if which == "dhc-explicit":
-        if not isinstance(bundle, VariationalSystem):
-            raise ConfigError(
-                f"{which} needs a system with an explicit recurrence and a "
-                f"momentum map; {cfg.system!r} does not provide them")
-        params.update(box=box, h=bundle.h)
-        samples = sample_box(2 * bundle.dim, count, box=box, seed=seed)
-        report = check_dhc_explicit(bundle.fiber, bundle.recurrence, samples,
-                                    tol=tol, system=bundle.name, params=params)
 
-    elif which == "dhc-implicit":
-        if isinstance(bundle, ImplicitRecurrenceSystem):
-            fiber, equation = bundle.fiber, bundle.equation
-        elif isinstance(bundle, VariationalSystem):
-            fiber, equation = bundle.fiber, explicit_to_implicit(bundle.recurrence)
-        else:
-            raise ConfigError(
-                f"{which} needs a second-order recurrence; {cfg.system!r} "
-                f"does not provide one")
-        params.update(box=box, h=bundle.h)
-        samples = sample_box(2 * bundle.dim, count, box=box, seed=seed)
-        report = check_dhc_implicit(fiber, equation, samples, tol=tol,
-                                    system=bundle.name, params=params)
+def _check_dhc_explicit(cfg: RunConfig, bundle, params: dict):
+    if not isinstance(bundle, VariationalSystem):
+        raise ConfigError(
+            f"dhc-explicit needs a system with an explicit recurrence and a "
+            f"momentum map; {cfg.system!r} does not provide them")
+    samples = _box_samples(cfg, bundle, params)
+    return check_dhc_explicit(bundle.fiber, bundle.recurrence, samples,
+                              tol=params["tol"], system=bundle.name, params=params)
 
-    elif which == "isotropy":
-        if isinstance(bundle, RollingDisk):
-            if cfg.box is not None:
-                raise ConfigError(
-                    "box does not apply to rolling-disk isotropy: its "
-                    "constraint-chart sampler has fixed ranges")
-            fiber_name = cfg.fiber or "doubled-rate"
-            if fiber_name not in bundle.fibers:
-                known = ", ".join(sorted(bundle.fibers))
-                raise ConfigError(
-                    f"unknown fiber map {fiber_name!r}; choose from {known}")
-            rule_name = cfg.rule or "midpoint"
-            rule = _resolve_rule(rule_name)
-            params.update(h=bundle.h, fiber=fiber_name, rule=rule_name,
-                          sampler="constraint-chart")
-            embedding = bundle.chart_embedding(bundle.fibers[fiber_name], rule)
-            samples = bundle.chart_samples(count, seed)
-            report = check_isotropy(embedding, samples, tol=tol,
-                                    system=cfg.system, params=params)
-        elif isinstance(bundle, VariationalSystem):
-            params.update(box=box, h=bundle.h)
-            embedding = gamma_embedding(bundle.fiber, bundle.recurrence)
-            samples = sample_box(2 * bundle.dim, count, box=box, seed=seed)
-            report = check_isotropy(embedding, samples, tol=tol,
-                                    system=bundle.name, params=params,
-                                    lagrangian_dim=2 * bundle.dim)
-        else:
-            raise ConfigError(
-                f"isotropy needs a momentum-map embedding; {cfg.system!r} "
-                f"does not provide one")
 
-    elif which == "chc":
-        if not isinstance(bundle, ImplicitForceSystem):
-            raise ConfigError(
-                f"chc needs a continuous force system such as implicit-exp; "
-                f"got {cfg.system!r}")
-        params = {"tol": tol, "jets": len(bundle.jets)}
-        report = check_chc(bundle.force, bundle.jets, tol=tol,
-                           system=bundle.name, params=params)
+def _check_dhc_implicit(cfg: RunConfig, bundle, params: dict):
+    if isinstance(bundle, ImplicitRecurrenceSystem):
+        fiber, equation = bundle.fiber, bundle.equation
+    elif isinstance(bundle, VariationalSystem):
+        fiber, equation = bundle.fiber, explicit_to_implicit(bundle.recurrence)
+    else:
+        raise ConfigError(
+            f"dhc-implicit needs a second-order recurrence; {cfg.system!r} "
+            f"does not provide one")
+    samples = _box_samples(cfg, bundle, params)
+    return check_dhc_implicit(fiber, equation, samples, tol=params["tol"],
+                              system=bundle.name, params=params)
 
-    elif which == "ihc":
-        if not isinstance(bundle, ImplicitForceSystem):
-            raise ConfigError(
-                f"ihc needs a continuous force system such as implicit-exp; "
-                f"got {cfg.system!r}")
+
+def _check_isotropy(cfg: RunConfig, bundle, params: dict):
+    if isinstance(bundle, RollingDisk):
         if cfg.box is not None:
-            probes = bundle.probes(count, seed=seed, box=cfg.box)
-            params.update(box=cfg.box)
-        else:
-            probes = bundle.probes(count, seed=seed)
-        report = check_ihc(bundle.momentum, bundle.ode, probes, tol=tol,
-                           system=bundle.name, params=params)
-
-    elif which == "two-form":
-        if isinstance(bundle, VariationalSystem):
-            omega, dim, name = bundle.two_form(), bundle.dim, bundle.name
-            params.update(box=box, h=bundle.h)
-        elif isinstance(bundle, DiscreteLagrangian):
-            omega, dim, name = TwoFormField.from_lagrangian(bundle), bundle.dim, cfg.system
-            params.update(box=box, h=bundle.h)
-        else:
             raise ConfigError(
-                f"two-form needs a discrete Lagrangian; {cfg.system!r} does "
-                f"not provide one")
-        samples = sample_box(2 * dim, count, box=box, seed=seed)
-        report = check_two_form(omega, samples, tol=tol, system=name,
-                                params=params)
+                "box does not apply to rolling-disk isotropy: its "
+                "constraint-chart sampler has fixed ranges")
+        fiber_name = cfg.fiber or "doubled-rate"
+        if fiber_name not in bundle.fibers:
+            known = ", ".join(sorted(bundle.fibers))
+            raise ConfigError(
+                f"unknown fiber map {fiber_name!r}; choose from {known}")
+        rule_name = cfg.rule or "midpoint"
+        rule = _resolve_rule(rule_name)
+        params.update(h=bundle.h, fiber=fiber_name, rule=rule_name,
+                      sampler="constraint-chart")
+        embedding = bundle.chart_embedding(bundle.fibers[fiber_name], rule)
+        samples = bundle.chart_samples(params["points"], params["seed"])
+        return check_isotropy(embedding, samples, tol=params["tol"],
+                              system=cfg.system, params=params)
+    if isinstance(bundle, VariationalSystem):
+        samples = _box_samples(cfg, bundle, params)
+        embedding = gamma_embedding(bundle.fiber, bundle.recurrence)
+        return check_isotropy(embedding, samples, tol=params["tol"],
+                              system=bundle.name, params=params,
+                              lagrangian_dim=2 * bundle.dim)
+    raise ConfigError(
+        f"isotropy needs a momentum-map embedding; {cfg.system!r} "
+        f"does not provide one")
 
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ConfigError(f"unknown check {which!r}")
 
-    _emit(cfg.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
+def _require_force_system(cfg: RunConfig, bundle, which: str):
+    if not isinstance(bundle, ImplicitForceSystem):
+        raise ConfigError(
+            f"{which} needs a continuous force system such as implicit-exp; "
+            f"got {cfg.system!r}")
+
+
+def _check_chc(cfg: RunConfig, bundle, params: dict):
+    _require_force_system(cfg, bundle, "chc")
+    # chc runs on the system's fixed jets: no points or seed to record
+    params = {"tol": params["tol"], "jets": len(bundle.jets)}
+    return check_chc(bundle.force, bundle.jets, tol=params["tol"],
+                     system=bundle.name, params=params)
+
+
+def _check_ihc(cfg: RunConfig, bundle, params: dict):
+    _require_force_system(cfg, bundle, "ihc")
+    if cfg.box is not None:
+        probes = bundle.probes(params["points"], seed=params["seed"], box=cfg.box)
+        params.update(box=cfg.box)
+    else:
+        probes = bundle.probes(params["points"], seed=params["seed"])
+    return check_ihc(bundle.momentum, bundle.ode, probes, tol=params["tol"],
+                     system=bundle.name, params=params)
+
+
+def _check_two_form(cfg: RunConfig, bundle, params: dict):
+    if isinstance(bundle, VariationalSystem):
+        omega, name = bundle.two_form(), bundle.name
+    elif isinstance(bundle, DiscreteLagrangian):
+        omega, name = TwoFormField.from_lagrangian(bundle), cfg.system
+    else:
+        raise ConfigError(
+            f"two-form needs a discrete Lagrangian; {cfg.system!r} does "
+            f"not provide one")
+    samples = _box_samples(cfg, bundle, params)
+    return check_two_form(omega, samples, tol=params["tol"], system=name,
+                          params=params)
+
+
+# check name -> (default verdict tolerance, report builder); the builders
+# call the check_* functions by their module-level names at call time.
+CHECKS = {
+    "dhc-explicit": (1e-8, _check_dhc_explicit),
+    "dhc-implicit": (1e-8, _check_dhc_implicit),
+    "isotropy": (1e-6, _check_isotropy),
+    "chc": (1e-7, _check_chc),
+    "ihc": (1e-7, _check_ihc),
+    "two-form": (1e-6, _check_two_form),
+}
+
+
+def cmd_check(cfg: RunConfig, which: str, bundle) -> int:
+    default_tol, build_report = CHECKS[which]
+    params = {"tol": cfg.tol if cfg.tol is not None else default_tol,
+              "points": cfg.points if cfg.points is not None else DEFAULT_POINTS,
+              "seed": cfg.seed if cfg.seed is not None else 0}
+    report = build_report(cfg, bundle, params)
+    _emit(cfg.out, report.to_json() + "\n")
     return 0 if report.verdict else 3
 
 
@@ -522,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a sampled variationality test and write a JSON report",
         description="Run one variationality test on a built-in system and "
                     "write a JSON condition report.")
-    chk.add_argument("which", choices=CHECK_NAMES,
+    chk.add_argument("which", choices=tuple(CHECKS),
                      help="which condition family to test")
     _add_run_options(chk)
     return parser

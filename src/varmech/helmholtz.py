@@ -28,6 +28,12 @@ coefficient +D12 on dq0^i ^ dq1^j, matching ``lagrangian_two_form``.
 On the product of two cotangent copies the relevant form is the second
 copy minus the first: ambient matrix diag(-S, S).
 
+The sampled verdicts (``check_dhc_explicit``, ``check_dhc_implicit``,
+``check_isotropy``, ``check_chc``, ``check_ihc``, ``check_two_form``,
+``check_functional``) each supply a per-point residual function to one
+driver, ``_sampled_check``, which runs the sample loop, keeps the worst
+residual and point per condition and applies the scaled tolerance.
+
 All residuals here are exact zeros for variational data, so any value
 above the finite-difference noise floor (about 1e-10 with the order-4
 stencils used) is meaningful.  Sample-point loops are embarrassingly
@@ -44,7 +50,7 @@ import numpy as np
 
 from . import numkit
 from .errors import DomainError, SingularJacobian
-from .numkit import DiffConfig, NewtonConfig, DEFAULT_NEWTON
+from .numkit import NewtonConfig, DEFAULT_NEWTON
 from .sode import ExplicitSOdE, ImplicitSOdE, implicit_step, tangent_basis
 
 
@@ -199,6 +205,11 @@ def dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, q0, q1):
     reduced form of the advanced-pair condition; it is equivalent to the
     full one wherever R1 vanishes on a neighbourhood.
     """
+    return _dhc_explicit(fiber, eq, q0, q1)[0]
+
+
+def _dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, q0, q1):
+    """``dhc_explicit``'s residuals and the largest entry of dF at (q0, q1)."""
     if fiber.kind != "minus":
         raise DomainError("dhc_explicit needs a minus-type fiber map")
     n = fiber.dim
@@ -213,7 +224,7 @@ def dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, q0, q1):
     r1 = numkit.antisymmetrize(m1)
     r2 = m2 + (n2 @ g0).T
     r3 = numkit.antisymmetrize(n2 @ g1)
-    return r1, r2, r3
+    return (r1, r2, r3), max(float(np.max(np.abs(m1))), float(np.max(np.abs(m2))))
 
 
 def _triple_embedding(fiber: FiberMap, q0, q1, q2):
@@ -243,6 +254,12 @@ def dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-
     advanced pair and so coincides with it wherever the first condition
     holds there.
     """
+    return _dhc_implicit(fiber, eq, q0, q1, q2, tol)[0]
+
+
+def _dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
+    """``dhc_implicit``'s residuals and the largest entry of dF at
+    (q0, q1), read off the fiber block of the triple Jacobian."""
     if fiber.kind != "minus":
         raise DomainError("dhc_implicit needs a minus-type fiber map")
     n = fiber.dim
@@ -253,7 +270,7 @@ def dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-
     r1 = 0.5 * (a @ w @ a.T)
     r2 = a @ w @ b.T
     r3 = -0.5 * (b @ w @ b.T)
-    return r1, r2, r3
+    return (r1, r2, r3), float(np.max(np.abs(jac[n : 2 * n, : 2 * n])))
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +307,17 @@ def isotropy_pullback(embedding: Callable, z, ambient=None):
     the image is isotropic near z; if additionally m is half the ambient
     dimension the image is Lagrangian.
     """
-    z = np.asarray(z, dtype=float)
-    jac = numkit.fd_jacobian4(embedding, z)
+    return _pullback(embedding, z, ambient)[1]
+
+
+def _pullback(embedding: Callable, z, ambient):
+    """The embedding's Jacobian at z and the pulled-back form."""
+    jac = numkit.fd_jacobian4(embedding, np.asarray(z, dtype=float))
     if ambient is None:
         if jac.shape[0] % 4 != 0:
             raise DomainError("ambient dimension must be a multiple of 4")
         ambient = pair_omega_matrix(jac.shape[0] // 4)
-    return jac.T @ np.asarray(ambient, dtype=float) @ jac
+    return jac, jac.T @ np.asarray(ambient, dtype=float) @ jac
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +353,6 @@ class TwoFormField:
             dim=2 * n,
             coeff=lambda z: lagrangian_two_form(lag, z[:n], z[n:]),
         )
-
-    @staticmethod
-    def from_fiber_map(fiber: FiberMap):
-        """Pullback of the canonical form through (q0, q1) -> (base, F)."""
-        n = fiber.dim
-        s = canonical_omega_matrix(n)
-
-        def leg(z):
-            q0, q1 = z[:n], z[n:]
-            return np.concatenate([fiber.base(q0, q1), fiber(q0, q1)])
-
-        def coeff(z):
-            jac = numkit.fd_jacobian4(leg, np.asarray(z, dtype=float))
-            return jac.T @ s @ jac
-
-        return TwoFormField(dim=2 * n, coeff=coeff)
 
 
 def two_form_checks(omega: TwoFormField, z, flow: Callable | None = None,
@@ -506,19 +511,22 @@ def functional_residual_1d(f: Callable, g: Callable, points, fx: Callable | None
     stencil is used, keeping the noise below 1e-11 for smooth f.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    res = np.empty(points.shape[0])
-    for k, (x, y) in enumerate(points):
-        if fx is not None:
-            dfdx = float(fx(x, y))
-        else:
-            dfdx = float(
-                numkit.fd_directional4(
-                    lambda z: np.array([f(z[0], z[1])]), np.array([x, y]),
-                    np.array([1.0, 0.0])
-                )[0]
-            )
-        res[k] = g(y, f(x, y)) * dfdx + g(x, y)
+    res = np.fromiter((_functional_residual(f, g, x, y, fx) for x, y in points),
+                      dtype=float, count=points.shape[0])
     return float(np.max(np.abs(res))), res
+
+
+def _functional_residual(f: Callable, g: Callable, x, y, fx: Callable | None):
+    if fx is not None:
+        dfdx = float(fx(x, y))
+    else:
+        dfdx = float(
+            numkit.fd_directional4(
+                lambda z: np.array([f(z[0], z[1])]), np.array([x, y]),
+                np.array([1.0, 0.0])
+            )[0]
+        )
+    return g(y, f(x, y)) * dfdx + g(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -571,30 +579,40 @@ class ConditionReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _collect(named_residuals, samples, tol, scale=1.0):
-    """Fold per-sample residual dicts into ConditionResults.
+def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float,
+                   system: str, params: dict | None) -> ConditionReport:
+    """The one loop behind every sampled check.
 
-    ``named_residuals`` is a list of (name, values) where values[k] is
-    the residual matrix (or scalar) at samples[k].  The effective
-    tolerance is tol * max(1, scale): residuals of well-scaled data are
-    compared as-is, steep Jacobians widen the band proportionally.
+    ``residuals_at(z)`` returns one residual (matrix or scalar) per name
+    at the point z, and the size of the data there, such as the largest
+    Jacobian entry.  Each condition keeps its worst residual and the
+    point where it occurred (a tie goes to the later point).  The
+    effective tolerance is tol * max(1, s) with s the largest size over
+    all points: residuals of well-scaled data are compared as-is, steep
+    Jacobians widen the band proportionally.
     """
-    eff = tol * max(1.0, scale)
-    out = []
-    for name, values in named_residuals:
-        worst = 0.0
-        worst_point = samples[0]
-        for z, val in zip(samples, values):
+    if len(points) == 0 or np.size(points[0]) == 0:  # atleast_2d([]) is one empty point
+        raise DomainError(f"{check} needs at least one sample point")
+    worst = [0.0] * len(names)
+    worst_point = [points[0]] * len(names)
+    scale = 1.0
+    for z in points:
+        residuals, z_scale = residuals_at(z)
+        scale = max(scale, z_scale)
+        for k, val in enumerate(residuals):
             mag = float(np.max(np.abs(val)))
-            if mag >= worst:
-                worst = mag
-                worst_point = z
-        out.append(ConditionResult(
-            name=name, max_residual=worst,
-            worst_point=[float(v) for v in np.atleast_1d(worst_point)],
-            tol=eff, passed=worst <= eff,
-        ))
-    return out
+            if mag >= worst[k]:
+                worst[k] = mag
+                worst_point[k] = z
+    eff = tol * max(1.0, scale)
+    report = ConditionReport(check=check, system=system, params=params or {})
+    report.conditions = [
+        ConditionResult(name=name, max_residual=mag,
+                        worst_point=[float(v) for v in np.atleast_1d(z)],
+                        tol=eff, passed=mag <= eff)
+        for name, mag, z in zip(names, worst, worst_point)
+    ]
+    return report
 
 
 def check_dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, samples,
@@ -606,21 +624,10 @@ def check_dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, samples,
     obstruction was found at these points.
     """
     n = fiber.dim
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    triples = ([], [], [])
-    scale = 1.0
-    for z in samples:
-        r1, r2, r3 = dhc_explicit(fiber, eq, z[:n], z[n:])
-        for bucket, val in zip(triples, (r1, r2, r3)):
-            bucket.append(val)
-        j0, j1 = fiber.slot_jacobians(z[:n], z[n:])
-        scale = max(scale, float(np.max(np.abs(j0))), float(np.max(np.abs(j1))))
-    report = ConditionReport(check="dhc-explicit", system=system, params=params or {})
-    report.conditions = _collect(
-        [("dHC1", triples[0]), ("dHC2", triples[1]), ("dHC3", triples[2])],
-        samples, tol, scale,
-    )
-    return report
+    return _sampled_check(
+        "dhc-explicit", ("dHC1", "dHC2", "dHC3"),
+        lambda z: _dhc_explicit(fiber, eq, z[:n], z[n:]),
+        np.atleast_2d(np.asarray(samples, dtype=float)), tol, system, params)
 
 
 def check_dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, samples,
@@ -629,23 +636,14 @@ def check_dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, samples,
     """Sampled implicit discrete Helmholtz verdict; samples are pair
     points, the third triple member is solved from phi = 0."""
     n = fiber.dim
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    triples = ([], [], [])
-    scale = 1.0
-    for z in samples:
+
+    def residuals_at(z):
         q0, q1 = z[:n], z[n:]
-        q2 = implicit_step(eq, q0, q1, cfg=cfg)
-        r1, r2, r3 = dhc_implicit(fiber, eq, q0, q1, q2)
-        for bucket, val in zip(triples, (r1, r2, r3)):
-            bucket.append(val)
-        j0, j1 = fiber.slot_jacobians(q0, q1)
-        scale = max(scale, float(np.max(np.abs(j0))), float(np.max(np.abs(j1))))
-    report = ConditionReport(check="dhc-implicit", system=system, params=params or {})
-    report.conditions = _collect(
-        [("dHC1", triples[0]), ("dHC2", triples[1]), ("dHC3", triples[2])],
-        samples, tol, scale,
-    )
-    return report
+        return _dhc_implicit(fiber, eq, q0, q1, implicit_step(eq, q0, q1, cfg=cfg))
+
+    return _sampled_check(
+        "dhc-implicit", ("dHC1", "dHC2", "dHC3"), residuals_at,
+        np.atleast_2d(np.asarray(samples, dtype=float)), tol, system, params)
 
 
 def check_isotropy(embedding: Callable, samples, tol: float = 1e-6,
@@ -658,18 +656,13 @@ def check_isotropy(embedding: Callable, samples, tol: float = 1e-6,
     Lagrangian when the chart dimension matches.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    residuals = []
-    scale = 1.0
-    for z in samples:
-        jac = numkit.fd_jacobian4(embedding, z)
-        if ambient is None:
-            amb = pair_omega_matrix(jac.shape[0] // 4)
-        else:
-            amb = np.asarray(ambient, dtype=float)
-        residuals.append(jac.T @ amb @ jac)
-        scale = max(scale, float(np.max(np.abs(jac))) ** 2)
-    report = ConditionReport(check="isotropy", system=system, params=params or {})
-    report.conditions = _collect([("isotropy", residuals)], samples, tol, scale)
+
+    def residuals_at(z):
+        jac, pulled = _pullback(embedding, z, ambient)
+        return (pulled,), float(np.max(np.abs(jac))) ** 2
+
+    report = _sampled_check("isotropy", ("isotropy",), residuals_at, samples,
+                            tol, system, params)
     if lagrangian_dim is not None:
         m = samples.shape[1]
         gap = float(abs(m - lagrangian_dim))
@@ -682,21 +675,14 @@ def check_isotropy(embedding: Callable, samples, tol: float = 1e-6,
 
 def check_chc(phi: Callable, jets, tol: float = 1e-6,
               system: str = "", params: dict | None = None):
-    """Classical Helmholtz verdict along a list of jets."""
-    buckets = ([], [], [])
-    flat_jets = []
-    for jet in jets:
-        r1, r2, r3 = chc_classical(phi, jet)
-        for bucket, val in zip(buckets, (r1, r2, r3)):
-            bucket.append(val)
-        flat_jets.append(np.concatenate([np.atleast_1d(np.asarray(p, dtype=float))
-                                         for p in jet]))
-    report = ConditionReport(check="chc", system=system, params=params or {})
-    report.conditions = _collect(
-        [("cHC1", buckets[0]), ("cHC2", buckets[1]), ("cHC3", buckets[2])],
-        flat_jets, tol,
-    )
-    return report
+    """Classical Helmholtz verdict along a list of jets; the worst point
+    of a condition is its jet flattened to (q, qd, qdd, qddd)."""
+    flat_jets = [np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in jet])
+                 for jet in jets]
+    return _sampled_check(
+        "chc", ("cHC1", "cHC2", "cHC3"),
+        lambda z: (chc_classical(phi, np.split(z, 4)), 1.0),
+        flat_jets, tol, system, params)
 
 
 def check_ihc(fiber: Callable, ode: ImplicitODE, points, tol: float = 1e-6,
@@ -704,17 +690,10 @@ def check_ihc(fiber: Callable, ode: ImplicitODE, points, tol: float = 1e-6,
     """Implicit continuous Helmholtz verdict at stacked (q, qd) points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[1] // 2
-    buckets = ([], [], [])
-    for z in points:
-        r1, r2, r3 = chc_implicit(fiber, ode, z[:n], z[n:])
-        for bucket, val in zip(buckets, (r1, r2, r3)):
-            bucket.append(val)
-    report = ConditionReport(check="ihc", system=system, params=params or {})
-    report.conditions = _collect(
-        [("IHC1", buckets[0]), ("IHC2", buckets[1]), ("IHC3", buckets[2])],
-        points, tol,
-    )
-    return report
+    return _sampled_check(
+        "ihc", ("IHC1", "IHC2", "IHC3"),
+        lambda z: (chc_implicit(fiber, ode, z[:n], z[n:]), 1.0),
+        points, tol, system, params)
 
 
 def check_functional(f: Callable, g: Callable, points, tol: float = 1e-10,
@@ -722,11 +701,10 @@ def check_functional(f: Callable, g: Callable, points, tol: float = 1e-10,
                      fx: Callable | None = None):
     """Verdict for a candidate solution pair of the one-dimensional
     compatibility equation."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    _, res = functional_residual_1d(f, g, points, fx=fx)
-    report = ConditionReport(check="functional", system=system, params=params or {})
-    report.conditions = _collect([("functional", list(res))], points, tol)
-    return report
+    return _sampled_check(
+        "functional", ("functional",),
+        lambda z: ((_functional_residual(f, g, z[0], z[1], fx),), 1.0),
+        np.asarray(points, dtype=float).reshape(-1, 2), tol, system, params)
 
 
 def check_two_form(omega: TwoFormField, samples, flow: Callable | None = None,
@@ -740,22 +718,18 @@ def check_two_form(omega: TwoFormField, samples, flow: Callable | None = None,
     in params (min over samples) since their thresholds are the
     caller's call.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    names = ["closure", "vertical"] + (["lie"] if flow is not None else [])
-    buckets = {name: [] for name in names}
-    min_det = np.inf
-    min_sigma = np.inf
-    scale = 1.0
-    for z in samples:
+    names = ("closure", "vertical") + (("lie",) if flow is not None else ())
+    minima = {"abs_det": np.inf, "flat_sigma": np.inf}
+
+    def residuals_at(z):
         out = two_form_checks(omega, z, flow=flow, n_vertical=n_vertical, kernel=kernel)
-        for name in names:
-            buckets[name].append(out[name])
-        min_det = min(min_det, out["abs_det"])
-        min_sigma = min(min_sigma, out["flat_sigma"])
-        scale = max(scale, out["magnitude"])
-    merged = dict(params or {})
-    merged["min_abs_det"] = float(min_det)
-    merged["min_flat_sigma"] = float(min_sigma)
-    report = ConditionReport(check="two-form", system=system, params=merged)
-    report.conditions = _collect([(n, buckets[n]) for n in names], samples, tol, scale)
+        for key in minima:
+            minima[key] = min(minima[key], out[key])
+        return [out[name] for name in names], out["magnitude"]
+
+    report = _sampled_check("two-form", names, residuals_at,
+                            np.atleast_2d(np.asarray(samples, dtype=float)),
+                            tol, system, params)
+    report.params = dict(params or {}, min_abs_det=float(minima["abs_det"]),
+                         min_flat_sigma=float(minima["flat_sigma"]))
     return report

@@ -50,17 +50,13 @@ class DiffConfig:
 
     fd_step_scale: relative step; the actual step for coordinate i is
         ``fd_step_scale * max(1, |x_i|)``.
-    scheme: only "central" is provided.
     """
 
     fd_step_scale: float = FD_STEP_SCALE
-    scheme: str = "central"
 
     def __post_init__(self):
         if self.fd_step_scale <= 0:
             raise DomainError("fd_step_scale must be positive")
-        if self.scheme != "central":
-            raise DomainError(f"unknown difference scheme {self.scheme!r}")
 
     def step(self, x):
         return self.fd_step_scale * np.maximum(1.0, np.abs(x))
@@ -345,20 +341,6 @@ def rk4(f, y0, t0, t1, max_step: float = 1e-3):
         t += dt
     _check_finite(y, "in rk4")
     return y
-
-
-def rk4_path(f, y0, times, max_step: float = 1e-3):
-    """States of ``y' = f(t, y)`` at the increasing ``times``; the first
-    entry of ``times`` is the initial time of ``y0``.  Returns an array
-    of shape (len(times), len(y0))."""
-    times = np.asarray(times, dtype=float)
-    y = _asvec(y0).copy()
-    out = np.empty((times.size, y.size))
-    out[0] = y
-    for k in range(1, times.size):
-        y = rk4(f, y, times[k - 1], times[k], max_step=max_step)
-        out[k] = y
-    return out
 
 
 def gauss_legendre(n):

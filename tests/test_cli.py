@@ -230,6 +230,46 @@ def test_check_two_form_on_extended_disk(tmp_path):
     assert doc["params"]["min_abs_det"] > 0
 
 
+BOX_PARAMS = ["tol", "points", "seed", "box", "h"]
+DHC = ["dHC1", "dHC2", "dHC3"]
+IHC = ["IHC1", "IHC2", "IHC3"]
+TWO_FORM_PARAMS = BOX_PARAMS + ["min_abs_det", "min_flat_sigma"]
+
+
+@pytest.mark.parametrize("which, system, extra, code, tol, names, params", [
+    ("dhc-explicit", "toy-free-particle", [], 0, 1e-8, DHC, BOX_PARAMS),
+    ("dhc-implicit", "exp-recurrence", [], 0, 1e-8, DHC, BOX_PARAMS),
+    ("dhc-implicit", "harmonic-exact", [], 0, 1e-8, DHC, BOX_PARAMS),
+    ("isotropy", "rolling-disk", [], 0, 1e-6, ["isotropy"],
+     ["tol", "points", "seed", "h", "fiber", "rule", "sampler"]),
+    ("isotropy", "harmonic-exact", [], 0, 1e-6,
+     ["isotropy", "lagrangian-dimension"], BOX_PARAMS),
+    ("chc", "implicit-exp", [], 3, 1e-7, ["cHC1", "cHC2", "cHC3"], ["tol", "jets"]),
+    ("ihc", "implicit-exp", [], 0, 1e-7, IHC, ["tol", "points", "seed"]),
+    ("ihc", "implicit-exp", ["--box", "0.5"], 0, 1e-7, IHC,
+     ["tol", "points", "seed", "box"]),
+    ("two-form", "extended-disk", [], 0, 1e-6, ["closure", "vertical"],
+     TWO_FORM_PARAMS),
+    ("two-form", "harmonic-exact", [], 0, 1e-6, ["closure", "vertical"],
+     TWO_FORM_PARAMS),
+])
+def test_check_table_branches(which, system, extra, code, tol, names, params,
+                              tmp_path):
+    out = tmp_path / "report.json"
+    rc = main(["check", which, "--system", system, "--points", "8"] + extra
+              + ["--out", str(out)])
+    assert rc == code
+    text = out.read_text()
+    assert text.endswith("}\n")
+    doc = json.loads(text)
+    assert doc["check"] == which
+    assert doc["system"] == system
+    assert doc["verdict"] == ("pass" if code == 0 else "fail")
+    assert [c["name"] for c in doc["conditions"]] == names
+    assert list(doc["params"]) == params
+    assert doc["params"]["tol"] == tol
+
+
 def test_no_temp_files_left_behind(tmp_path):
     out = tmp_path / "o.csv"
     assert main(["simulate", "--system", "harmonic-exact", "--steps", "1",

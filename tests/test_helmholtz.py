@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from varmech import helmholtz as hz
+from varmech import systems
 from varmech.errors import DomainError, SingularJacobian
 from varmech.lagrangian import DiscreteLagrangian
 from varmech.sode import ExplicitSOdE, ImplicitSOdE, explicit_to_implicit, implicit_step
@@ -313,11 +314,9 @@ def test_two_form_checks_kinetic_pair_form():
     assert abs(out["flat_sigma"] - 1.0 / H) < 1e-9
 
 
-def test_two_form_from_fiber_map_matches_lagrangian():
+def test_two_form_from_lagrangian_closed_form():
     omega_l = hz.TwoFormField.from_lagrangian(kinetic_lagrangian())
-    omega_f = hz.TwoFormField.from_fiber_map(velocity_fiber())
     z = np.concatenate([Q0, Q1])
-    assert np.max(np.abs(omega_l(z) - omega_f(z))) < 1e-10
     expected = np.zeros((4, 4))
     expected[:2, 2:] = -np.eye(2) / H
     expected[2:, :2] = np.eye(2) / H
@@ -449,6 +448,83 @@ def test_check_two_form_report_params():
     assert report.params["min_flat_sigma"] == pytest.approx(1.0 / H, rel=1e-6)
     names = [c.name for c in report.conditions]
     assert names == ["closure", "vertical", "lie"]
+
+
+def test_check_dhc_implicit_scale_from_fiber_block():
+    # dF = (-I/h, I/h) at every pair, so the band widens tenfold
+    report = hz.check_dhc_implicit(velocity_fiber(),
+                                   explicit_to_implicit(free_recurrence()),
+                                   hz.sample_box(4, 4, seed=0))
+    assert report.verdict
+    assert all(c.tol == pytest.approx(1e-5) for c in report.conditions)
+
+
+EMPTY_CHECKS = {
+    # check -> (call on a sample set, sample width)
+    "dhc-explicit": (lambda pts: hz.check_dhc_explicit(
+        velocity_fiber(), free_recurrence(), pts), 4),
+    "dhc-implicit": (lambda pts: hz.check_dhc_implicit(
+        velocity_fiber(), explicit_to_implicit(free_recurrence()), pts), 4),
+    "isotropy": (lambda pts: hz.check_isotropy(
+        lambda z: np.concatenate([z, z]), pts), 2),
+    "chc": (lambda jets: hz.check_chc(lambda q, qd, qdd: qdd + q, jets), 4),
+    "ihc": (lambda pts: hz.check_ihc(
+        lambda q, qd: qd.copy(),
+        hz.ImplicitODE(dim=1, phi=lambda q, qd, qdd: qdd + q), pts), 2),
+    "two-form": (lambda pts: hz.check_two_form(
+        hz.TwoFormField.from_lagrangian(kinetic_lagrangian()), pts), 4),
+    "functional": (lambda pts: hz.check_functional(
+        lambda x, y: x, lambda x, y: x - y, pts), 2),
+}
+
+
+@pytest.mark.parametrize("check", sorted(EMPTY_CHECKS))
+@pytest.mark.parametrize("form", ["rows", "list"])
+def test_checks_reject_empty_samples(check, form):
+    call, width = EMPTY_CHECKS[check]
+    with pytest.raises(DomainError, match="at least one sample"):
+        call(np.zeros((0, width)) if form == "rows" else [])
+
+
+def test_check_isotropy_needs_pair_ambient_by_default():
+    emb = lambda z: np.concatenate([z, 2.0 * z, z])  # six ambient coordinates
+    samples = hz.sample_box(2, 3, seed=0)
+    with pytest.raises(DomainError, match="multiple of 4"):
+        hz.check_isotropy(emb, samples)
+    with pytest.raises(DomainError, match="multiple of 4"):
+        hz.isotropy_pullback(emb, samples[0])
+    # an explicit ambient form of the right size is accepted
+    report = hz.check_isotropy(emb, samples, ambient=np.zeros((6, 6)))
+    assert report.verdict
+
+
+def test_check_functional_catalogue_and_perturbed_pair():
+    for pair in systems.functional_catalog():
+        pts = pair.samples(32)
+        report = hz.check_functional(pair.f, pair.g, pts, tol=1e-10,
+                                     system=pair.name)
+        assert report.verdict, pair.name
+        assert [c.name for c in report.conditions] == ["functional"]
+        assert report.conditions[0].tol == 1e-10
+
+    reflection = systems.functional_catalog()[1]  # f = 2y - x, g = 3
+    pts = reflection.samples(32)
+    bent = lambda x, y: reflection.f(x, y) + 0.01 * x * y
+    report = hz.check_functional(bent, reflection.g, pts, tol=1e-10)
+    assert not report.verdict
+    worst = report.conditions[0]
+    assert any(np.array_equal(worst.worst_point, p) for p in pts)
+    # the residual is 3 * 0.01 * y, largest where |y| is
+    assert worst.max_residual == pytest.approx(0.03 * np.max(np.abs(pts[:, 1])),
+                                               rel=1e-8)
+    assert worst.worst_point[1] == pytest.approx(
+        pts[np.argmax(np.abs(pts[:, 1])), 1])
+
+    # equal residuals at every point: the tie goes to the last point
+    tilted = hz.check_functional(reflection.f, reflection.g, pts,
+                                 fx=lambda x, y: -0.999)
+    assert not tilted.verdict
+    assert tilted.conditions[0].worst_point == list(pts[-1])
 
 
 def test_condition_report_json_layout():

@@ -187,14 +187,6 @@ def test_rk4_harmonic_orbit():
     assert_allclose(y, [1.0, 0.0], atol=1e-9)
 
 
-def test_rk4_path_endpoints():
-    f = lambda t, y: np.array([y[1], -y[0]])
-    times = np.array([0.0, 0.5, 1.0])
-    path = numkit.rk4_path(f, np.array([1.0, 0.0]), times)
-    assert_allclose(path[:, 0], np.cos(times), atol=1e-10)
-    assert_allclose(path[:, 1], -np.sin(times), atol=1e-10)
-
-
 def test_gauss_legendre_exactness():
     # n nodes integrate polynomials up to degree 2n-1 exactly.
     nodes, weights = numkit.gauss_legendre(8)
@@ -220,5 +212,3 @@ def test_fit_order_rejects_bad_input():
 def test_diffconfig_validation():
     with pytest.raises(DomainError):
         numkit.DiffConfig(fd_step_scale=-1.0)
-    with pytest.raises(DomainError):
-        numkit.DiffConfig(scheme="forward")
