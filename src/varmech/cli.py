@@ -35,7 +35,7 @@ from .helmholtz import (TwoFormField, check_chc, check_dhc_explicit,
 from .lagrangian import DiscreteLagrangian
 from .lagrangian import simulate as lagrangian_simulate
 from .nonholonomic import dla_simulate, rule_from_spec
-from .numkit import DEFAULT_NEWTON, NewtonConfig, march, pair_series
+from .numkit import DEFAULT_NEWTON, PAIR_CHUNK, NewtonConfig, march, pair_series
 from .sode import explicit_to_implicit, implicit_step
 from .systems import (ImplicitForceSystem, ImplicitRecurrenceSystem,
                       RollingDisk, VariationalSystem, make_system,
@@ -237,23 +237,27 @@ def render_csv(coords, energy_funcs, points, failed_at=None) -> str:
     Values carry 17 significant digits so parsing them back recovers
     the exact binary floats.  Energy cells on row k are evaluated on the
     pair (q_k, q_{k+1}); the last row leaves them empty.  A failed run
-    ends with a ``# failed at step K`` comment line.
+    ends with a ``# failed at step K`` comment line.  Rows are formatted
+    PAIR_CHUNK at a time, each with one ``%``-format string: the bytes
+    of ``format(v, ".17g")`` per cell.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     series = pair_series(energy_funcs, points)
     lines = ["k," + ",".join(list(coords) + list(series))]
-    total = points.shape[0]
-    for k in range(total):
-        cells = [str(k)]
-        cells.extend(format(v, ".17g") for v in points[k])
-        if k + 1 < total:
-            cells.extend(format(values[k], ".17g") for values in series.values())
-        else:
-            cells.extend([""] * len(series))
-        lines.append(",".join(cells))
+    total, dim = points.shape
+    row = "%d" + ",%.17g" * (dim + len(series))
+    for start in range(0, total - 1, PAIR_CHUNK):
+        stop = min(start + PAIR_CHUNK, total - 1)
+        block = np.column_stack([points[start:stop]]
+                                + [values[start:stop] for values in series.values()])
+        lines.extend(row % (k, *cells) for k, cells in enumerate(block.tolist(), start))
+    if total:
+        last = "%d" + ",%.17g" * dim + "," * len(series)
+        lines.append(last % (total - 1, *points[-1].tolist()))
     if failed_at is not None:
         lines.append(f"# failed at step {failed_at}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -245,10 +245,11 @@ def simulate(lag: DiscreteLagrangian, q0, q1, steps: int,
     """March del_step from the seed pair (q0, q1).
 
     Returns (Trajectory, energy dict); the trajectory has steps + 2
-    points and each energy series one value per consecutive pair.  A
+    points and each energy series one value per consecutive pair.  The
+    seed points must have shape (lag.dim,) (DomainError).  A
     numerical failure in a step raises StepFailure carrying the step
     index; other exceptions propagate unchanged.
     """
     points = numkit.march(lambda a, b: del_step(lag, a, b, cfg), q0, q1, steps,
-                          "del_step")
+                          "del_step", dim=lag.dim)
     return Trajectory(points=points, h=lag.h), numkit.pair_series(energies or {}, points)

@@ -117,40 +117,47 @@ class NonholonomicSystem:
         return self.lagrangian.dim
 
     def forms(self, q):
-        w = np.asarray(self.constraint_forms(np.asarray(q, dtype=float)), dtype=float)
-        if w.shape != (self.n_constraints, self.dim):
-            raise DomainError(f"constraint matrix has shape {w.shape}, "
-                              f"expected {(self.n_constraints, self.dim)}")
-        return w
+        """The constraint matrix at q, checked to be (m, n)."""
+        return _node_forms(self, [np.asarray(q, dtype=float)])[0]
 
 
-def _node_forms(system, rule, qk, qk1):
-    """The rule's node points on a segment, each with the constraint
-    forms there: a list of (point, forms) pairs."""
-    points = [a * qk + b * qk1 for a, b, _ in rule.nodes]
-    return [(point, system.forms(point)) for point in points]
+def _node_points(rule, qk, qk1):
+    return [a * qk + b * qk1 for a, b, _ in rule.nodes]
 
 
-def _constraint_at_nodes(system, rule, qk, qk1, nodes):
-    """discrete_constraint from the segment's ``_node_forms``."""
-    v = (qk1 - qk) / system.lagrangian.h
-    out = np.zeros(system.n_constraints)
-    for (_, _, wt), (_, w) in zip(rule.nodes, nodes):
+def _node_forms(system, points):
+    """The constraint matrices at each of ``points`` (the node points of
+    a segment), each checked to be (m, n): DomainError otherwise."""
+    forms = system.constraint_forms
+    shape = (system.n_constraints, system.dim)
+    ws = []
+    for point in points:
+        w = np.asarray(forms(point), dtype=float)
+        if w.shape != shape:
+            raise DomainError(f"constraint matrix has shape {w.shape}, expected {shape}")
+        ws.append(w)
+    return ws
+
+
+def _constraint_at_nodes(rule, v, ws, out):
+    """discrete_constraint from the divided difference ``v`` and the
+    node forms ``ws`` of ``_node_forms``, added into ``out`` (zeros)."""
+    for (_, _, wt), w in zip(rule.nodes, ws):
         out += wt * (w @ v)
     return out
 
 
-def _grad_jacobian_at_nodes(system, rule, q1, q2, nodes):
-    """The analytic _constraint_jacobian from the segment's
-    ``_node_forms``; needs ``system.constraint_grad``."""
+def _grad_jacobian_at_nodes(system, rule, v, points, ws, out):
+    """The analytic _constraint_jacobian, written into ``out`` (m, n),
+    from ``v`` and the segment's ``_node_forms``; needs
+    ``system.constraint_grad``."""
     h = system.lagrangian.h
-    v = (q2 - q1) / h
-    out = np.zeros((system.n_constraints, system.dim))
-    for (_, b, wt), (point, w) in zip(rule.nodes, nodes):
+    grad = system.constraint_grad
+    out[...] = 0.0
+    for (_, b, wt), point, w in zip(rule.nodes, points, ws):
         out += (wt / h) * w
         if b != 0.0:
-            grad = np.asarray(system.constraint_grad(point), dtype=float)
-            out += (wt * b) * (v @ grad)
+            out += (wt * b) * (v @ np.asarray(grad(point), dtype=float))
     return out
 
 
@@ -158,7 +165,9 @@ def discrete_constraint(system: NonholonomicSystem, rule: DiscretizationRule, qk
     """The rule's discretization of the constraints on a segment."""
     qk = np.asarray(qk, dtype=float)
     qk1 = np.asarray(qk1, dtype=float)
-    return _constraint_at_nodes(system, rule, qk, qk1, _node_forms(system, rule, qk, qk1))
+    ws = _node_forms(system, _node_points(rule, qk, qk1))
+    return _constraint_at_nodes(rule, (qk1 - qk) / system.lagrangian.h, ws,
+                                np.zeros(system.n_constraints))
 
 
 def _constraint_jacobian(system, rule, q1, q2):
@@ -166,7 +175,10 @@ def _constraint_jacobian(system, rule, q1, q2):
     if system.constraint_grad is None:
         return numkit.fd_jacobian(
             lambda q: discrete_constraint(system, rule, q1, q), q2)
-    return _grad_jacobian_at_nodes(system, rule, q1, q2, _node_forms(system, rule, q1, q2))
+    points = _node_points(rule, q1, q2)
+    ws = _node_forms(system, points)
+    return _grad_jacobian_at_nodes(system, rule, (q2 - q1) / system.lagrangian.h,
+                                   points, ws, np.empty((system.n_constraints, system.dim)))
 
 
 def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
@@ -183,42 +195,53 @@ def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
 
     The Newton matrix [[D12, -w(q1)^T], [dC/dq2, 0]] is one block per
     step, refilled in place each iterate.  Newton calls the Jacobian at
-    the iterate of its last residual, whose node points and forms the
-    analytic constraint Jacobian reuses: one forms evaluation per node
-    per iterate.
+    the iterate of its last residual, whose node points, forms and
+    divided difference the analytic constraint Jacobian reuses: one
+    forms evaluation per node per iterate.  The Lagrangian's analytic
+    d1 and d12 are called directly, the D1/D12 fallbacks when absent.
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     n = system.dim
     m = system.n_constraints
     lag = system.lagrangian
+    h = lag.h
+    d1 = lag.D1 if lag.d1 is None else lag.d1
+    d12 = lag.D12 if lag.d12 is None else lag.d12
+    analytic = system.constraint_grad is not None
     d2_prev = lag.D2(q0, q1)
     w1t = system.forms(q1).T
-    last = [None, None]  # the iterate of the last residual and its node forms
+    base = [(a * q1, b) for a, b, _ in rule.nodes]  # the q1 parts of the node points
+    last = [None, None, None, None]  # the last residual's iterate, v, node points and forms
 
     def residual(u):
-        q2, lam = u[:n], u[n:]
-        nodes = _node_forms(system, rule, q1, q2)
-        last[:] = u, nodes
-        return np.concatenate([lag.D1(q1, q2) + d2_prev - w1t @ lam,
-                               _constraint_at_nodes(system, rule, q1, q2, nodes)])
+        q2 = u[:n]
+        points = [q1_part + b * q2 for q1_part, b in base]
+        ws = _node_forms(system, points)
+        v = (q2 - q1) / h
+        last[:] = u, v, points, ws
+        r = np.zeros(n + m)
+        r[:n] = d1(q1, q2) + d2_prev - w1t @ u[n:]
+        _constraint_at_nodes(rule, v, ws, r[n:])
+        return r
 
     block = np.zeros((n + m, n + m))
     block[:n, n:] = -w1t
 
     def jacobian(u):
         q2 = u[:n]
-        block[:n, :n] = lag.D12(q1, q2)
-        if system.constraint_grad is None or last[0] is not u:
-            block[n:, :n] = _constraint_jacobian(system, rule, q1, q2)
+        block[:n, :n] = d12(q1, q2)
+        if analytic and last[0] is u:
+            _grad_jacobian_at_nodes(system, rule, last[1], last[2], last[3], block[n:, :n])
         else:
-            block[n:, :n] = _grad_jacobian_at_nodes(system, rule, q1, q2, last[1])
+            block[n:, :n] = _constraint_jacobian(system, rule, q1, q2)
         return block
 
     if guess is None:
-        guess = np.concatenate([2 * q1 - q0, np.zeros(m)])
+        guess = np.zeros(n + m)
+        guess[:n] = 2 * q1 - q0
     u = numkit.newton_solve(residual, guess, cfg, jacobian=jacobian,
-                            tol_scale=max(1.0, float(abs(d2_prev).max())))
+                            tol_scale=max(1.0, float(np.maximum.reduce(np.absolute(d2_prev)))))
     return u[:n], u[n:]
 
 
@@ -229,8 +252,9 @@ def dla_simulate(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
 
     The trajectory holds steps + 2 points.  Energy functions take a
     consecutive pair and are evaluated on all steps + 1 of them; the
-    multiplier array has one row per solved step.  Numerical failures
-    are wrapped in StepFailure with the step index.
+    multiplier array has one row per solved step.  The seed points must
+    have shape (system.dim,) (DomainError).  Numerical failures are
+    wrapped in StepFailure with the step index.
     """
     lams = np.empty((max(steps, 0), system.n_constraints))  # march rejects steps < 0
     rows = iter(lams)
@@ -240,18 +264,40 @@ def dla_simulate(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
         next(rows)[:] = lam
         return q2
 
-    points = numkit.march(step, q0, q1, steps, "constrained step")
+    points = numkit.march(step, q0, q1, steps, "constrained step", dim=system.dim)
     return (Trajectory(points=points, h=system.lagrangian.h),
             numkit.pair_series(energies or {}, points), lams)
 
 
-def midpoint_energy(func: Callable, h: float) -> Callable:
-    """Discretize an energy density E(q, v) at segment midpoints with
-    divided-difference velocities."""
+@dataclass(frozen=True)
+class MidpointEnergy:
+    """An energy density E(q, v) discretized at segment midpoints with
+    divided-difference velocities: a function of a consecutive pair."""
 
-    def wrapped(q0, q1):
+    func: Callable
+    h: float
+
+    def __call__(self, q0, q1):
         q0 = np.asarray(q0, dtype=float)
         q1 = np.asarray(q1, dtype=float)
-        return float(func(0.5 * (q0 + q1), (q1 - q0) / h))
+        return float(self.func(0.5 * (q0 + q1), (q1 - q0) / self.h))
 
-    return wrapped
+    def series(self, points):
+        """The energy on each consecutive pair of rows of ``points``.
+
+        Midpoints and velocities are formed for all pairs at once with
+        the IEEE operations of ``__call__``, and the density is called
+        on each row, so every value equals the per-pair one bit for bit.
+        """
+        points = np.asarray(points, dtype=float)
+        mids = 0.5 * (points[:-1] + points[1:])
+        vels = (points[1:] - points[:-1]) / self.h
+        func = self.func
+        return np.fromiter((float(func(q, v)) for q, v in zip(mids, vels)),
+                           dtype=float, count=len(mids))
+
+
+def midpoint_energy(func: Callable, h: float) -> MidpointEnergy:
+    """Discretize an energy density E(q, v) at segment midpoints with
+    divided-difference velocities."""
+    return MidpointEnergy(func, h)

@@ -42,6 +42,9 @@ PIVOT_FLOOR = 1e-14
 # Newton residual tolerance of NewtonConfig(abs_tol=None).
 NEWTON_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
+# Most pairs pair_series hands to an energy monitor's ``series`` at once,
+# which bounds the temporaries of a long run.
+PAIR_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,14 @@ DEFAULT_DIFF = DiffConfig()
 DEFAULT_NEWTON = NewtonConfig()
 
 
+_FLOAT = np.dtype(float)
+_maxreduce = np.maximum.reduce
+
+
 def _asvec(x):
+    """``x`` as a 1-D float array; a 1-D float64 ndarray passes as is."""
+    if x.__class__ is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT:
+        return x
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
@@ -220,8 +230,10 @@ def lu_solve(a, rhs):
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"matrix is singular: {exc}") from exc
-    size = abs(x).max()
-    scaled_rhs = (abs(rhs) / abs(a).max(axis=1)).max()
+    # np.maximum.reduce: the value of abs(x).max(), NaN included, without
+    # the method dispatch
+    size = _maxreduce(np.absolute(x), None)
+    scaled_rhs = _maxreduce(np.absolute(rhs) / _maxreduce(np.absolute(a), 1), None)
     if not size < np.inf or size * PIVOT_FLOOR > scaled_rhs:
         raise SingularJacobian(
             f"solution of size {size:.3e} against a row-scaled right-hand "
@@ -280,26 +292,33 @@ def newton_solve(f, x0, cfg: NewtonConfig = DEFAULT_NEWTON, diff: DiffConfig = D
 def _residual_size(r):
     """Largest residual component; NaN or inf there means a non-finite
     entry, so the one reduction is also the finiteness check."""
-    size = float(abs(r).max())
+    size = float(_maxreduce(np.absolute(r), None))
     if not size < np.inf:
         raise EvaluationError("non-finite value encountered in newton_solve residual")
     return size
 
 
-def march(step, q0, q1, steps: int, label: str = "step"):
+def march(step, q0, q1, steps: int, label: str = "step", dim: int | None = None):
     """The package's one stepping loop: iterate ``q_{k+2} = step(q_k,
     q_{k+1})`` from the seed pair into a (steps + 2, dim) array.
 
-    A NumericsError in step k becomes StepFailure carrying k, the cause
-    and the points computed before it; any other exception, such as a
-    bug in a user callable, propagates as itself.
+    The seed points must be 1-D of one shape, and of shape (dim,) when
+    ``dim`` is given; DomainError otherwise.  A NumericsError in step k
+    becomes StepFailure carrying k, the cause and the points computed
+    before it; any other exception, such as a bug in a user callable,
+    propagates as itself.
     """
     if steps < 0:
         raise DomainError("steps must be nonnegative")
-    q0 = _asvec(q0)
+    q0 = np.asarray(q0, dtype=float)
+    q1 = np.asarray(q1, dtype=float)
+    if q0.ndim != 1 or q0.shape != q1.shape or (dim is not None and q0.shape != (dim,)):
+        expected = "1-D points of one shape" if dim is None else f"points of shape ({dim},)"
+        raise DomainError(f"seed pair has shapes {q0.shape} and {q1.shape}; "
+                          f"{label} needs {expected}")
     points = np.empty((steps + 2, q0.size))
     points[0] = q0
-    points[1] = np.asarray(q1, dtype=float)
+    points[1] = q1
     for k in range(steps):
         try:
             points[k + 2] = step(points[k], points[k + 1])
@@ -312,11 +331,27 @@ def march(step, q0, q1, steps: int, label: str = "step"):
 def pair_series(funcs, points):
     """Each function of a consecutive pair evaluated along ``points``:
     a dict of arrays of length len(points) - 1, in the order of
-    ``funcs``."""
-    count = len(points) - 1
-    return {name: np.fromiter((float(fn(a, b)) for a, b in zip(points[:-1], points[1:])),
-                              dtype=float, count=count)
-            for name, fn in funcs.items()}
+    ``funcs``.
+
+    A function with a ``series`` method (such as the wrapper of
+    ``nonholonomic.midpoint_energy``) gets the points in blocks of at
+    most PAIR_CHUNK + 1 rows and returns the values on their
+    consecutive pairs, which must equal its per-pair values; any other
+    function is called once per pair.
+    """
+    count = max(len(points) - 1, 0)
+    out = {}
+    for name, fn in funcs.items():
+        series = getattr(fn, "series", None)
+        if series is None:
+            out[name] = np.fromiter((float(fn(a, b)) for a, b in zip(points[:-1], points[1:])),
+                                    dtype=float, count=count)
+            continue
+        values = np.empty(count)
+        for start in range(0, count, PAIR_CHUNK):
+            values[start:start + PAIR_CHUNK] = series(points[start:start + PAIR_CHUNK + 1])
+        out[name] = values
+    return out
 
 
 def rk4(f, y0, t0, t1, max_step: float = 1e-3):

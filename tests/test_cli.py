@@ -10,9 +10,9 @@ import json
 import numpy as np
 import pytest
 
-from varmech.cli import main
+from varmech.cli import main, render_csv
 from varmech.lagrangian import simulate as lagrangian_simulate
-from varmech.nonholonomic import dla_simulate, rule_from_spec
+from varmech.nonholonomic import dla_simulate, midpoint_energy, rule_from_spec
 from varmech.systems import make_system
 
 
@@ -89,6 +89,57 @@ def test_disk_csv_round_trips_exact_floats(tmp_path):
     traj, _, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 30)
     parsed = np.array([[float(v) for v in row[1:5]] for row in rows[1:]])
     assert np.array_equal(parsed, traj.points)
+
+
+def reference_csv(coords, energy_funcs, points, failed_at=None):
+    """The per-cell writer render_csv must match byte for byte: one
+    ``format(v, ".17g")`` per cell, energies evaluated pair by pair."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    series = {name: [float(fn(a, b)) for a, b in zip(points[:-1], points[1:])]
+              for name, fn in energy_funcs.items()}
+    lines = ["k," + ",".join(list(coords) + list(series))]
+    total = points.shape[0]
+    for k in range(total):
+        cells = [str(k)]
+        cells.extend(format(v, ".17g") for v in points[k])
+        if k + 1 < total:
+            cells.extend(format(values[k], ".17g") for values in series.values())
+        else:
+            cells.extend([""] * len(series))
+        lines.append(",".join(cells))
+    if failed_at is not None:
+        lines.append(f"# failed at step {failed_at}")
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16,
+           1e16 + 2, 0.1, 1 / 3, 2.0 ** -1074 * 3, 1.7976931348623157e308, 123456789.0]
+
+
+@pytest.mark.parametrize("rows, failed_at", [(1, None), (2, None), (7, 5), (2500, None),
+                                             (2500, 2497)])
+def test_render_csv_matches_per_cell_writer(rows, failed_at):
+    rng = np.random.default_rng(rows)
+    points = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+    cells = points.reshape(-1)
+    cells[:len(SPECIAL)] = SPECIAL[:cells.size]
+    energies = {"first": lambda a, b: a[0],        # special values reach energy cells
+                "gap": lambda a, b: b[1] - a[1],
+                "mid": midpoint_energy(lambda q, v: q[2] * v[0], 0.1)}
+    coords = ("a", "b", "c")
+    with np.errstate(all="ignore"):
+        for funcs in (energies, {}):   # and a system without energies
+            text = render_csv(coords, funcs, points, failed_at)
+            assert text == reference_csv(coords, funcs, points, failed_at)
+
+
+def test_render_csv_matches_per_cell_writer_on_disk_run():
+    disk = make_system("rolling-disk")
+    rule = rule_from_spec("euler-b")
+    traj, _, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 2500)
+    text = render_csv(disk.coord_names(), disk.energies, traj.points)
+    assert text == reference_csv(disk.coord_names(), disk.energies, traj.points)
+    assert text.splitlines()[-1].endswith(",,,")
 
 
 def test_flags_override_config_file(tmp_path):

@@ -235,3 +235,16 @@ def test_trajectory_pairs_and_validation():
     assert_allclose(pairs[1], [[1.0], [2.0]])
     with pytest.raises(DomainError):
         lg.Trajectory(points=np.array([[0.0]]), h=0.1)
+
+
+@pytest.mark.parametrize("q0, q1", [
+    ([0.0, 0.0], 0.1),             # used to run from q1 = [0.1, 0.1]
+    (0.0, 0.1),                    # scalars
+    ([0.0], [0.1]),                # short for dim 2
+    ([0.0, 0.0, 0.0], [0.1, 0.1, 0.1]),
+    ([0.0, 0.0], [0.1, 0.1, 0.1]),
+])
+def test_simulate_rejects_seed_pairs_off_the_system_dim(q0, q1):
+    fp = make_system("toy-free-particle")
+    with pytest.raises(DomainError, match="seed pair"):
+        lg.simulate(fp.lagrangian, q0, q1, 3)

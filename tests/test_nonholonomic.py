@@ -12,6 +12,7 @@ from varmech.nonholonomic import (DiscretizationRule, NonholonomicSystem,
                                   euler_a_rule, euler_b_rule, midpoint_energy,
                                   midpoint_rule, rule_from_spec,
                                   trapezoidal_rule)
+from varmech.numkit import PAIR_CHUNK, pair_series
 from varmech.systems import rolling_disk
 
 H = 0.05
@@ -222,3 +223,86 @@ def test_custom_rule_nodes_accepted():
     q2, _ = dla_step(disk.system, lopsided, q0, q1)
     advance = disk.reduced_recurrence(lopsided)
     assert_allclose(q2, advance(q0, q1), atol=1e-10)
+
+
+@pytest.mark.parametrize("q0, q1", [
+    (np.zeros(3), np.ones(3)),
+    (np.zeros(4), np.ones(3)),
+    (np.zeros(4), 1.0),
+])
+def test_simulate_rejects_seed_pairs_off_the_system_dim(q0, q1):
+    disk = rolling_disk(H)
+    with pytest.raises(DomainError, match="seed pair"):
+        dla_simulate(disk.system, midpoint_rule(), q0, q1, 3)
+
+
+def test_step_checks_forms_shape_at_interior_nodes():
+    # forms are well shaped at q1 (the multiplier rows) and wrong only at
+    # the midpoint nodes the constraint residual evaluates
+    disk = rolling_disk(H)
+    rule = midpoint_rule()
+    q0, q1 = disk.initial_pair(rule)
+
+    def forms(q):
+        good = disk.system.constraint_forms(q)
+        return good if np.array_equal(q, q1) else good[:1]
+
+    system = NonholonomicSystem(lagrangian=disk.system.lagrangian, n_constraints=2,
+                                constraint_forms=forms,
+                                constraint_grad=disk.system.constraint_grad)
+    assert system.forms(q1).shape == (2, 4)
+    with pytest.raises(DomainError, match=r"shape \(1, 4\)"):
+        dla_step(system, rule, q0, q1)
+
+
+def _run(system, rule, q0, q1, steps):
+    points = [q0, q1]
+    for _ in range(steps):
+        points.append(dla_step(system, rule, points[-2], points[-1])[0])
+    return np.array(points)
+
+
+def test_steps_without_analytic_derivatives_follow_the_analytic_run():
+    disk = rolling_disk(H)
+    lag = disk.system.lagrangian
+    rule = midpoint_rule()
+    q0, q1 = disk.initial_pair(rule)
+    reference = _run(disk.system, rule, q0, q1, 100)
+    no_grad = NonholonomicSystem(lagrangian=lag, n_constraints=2,
+                                 constraint_forms=disk.system.constraint_forms)
+    value_and_d2 = DiscreteLagrangian(dim=4, h=H, value=lag.value, d2=lag.d2)
+    no_d1_d12 = NonholonomicSystem(lagrangian=value_and_d2, n_constraints=2,
+                                   constraint_forms=disk.system.constraint_forms,
+                                   constraint_grad=disk.system.constraint_grad)
+    for system in (no_grad, no_d1_d12):
+        assert_allclose(_run(system, rule, q0, q1, 100), reference, rtol=0, atol=1e-7)
+
+
+def test_midpoint_energy_series_matches_per_pair_bit_for_bit():
+    # 3000 steps give 3001 pairs: pair_series hands them over in blocks
+    # that cross PAIR_CHUNK boundaries
+    disk = rolling_disk(H)
+    rule = alpha_rule(0.25)
+    traj, series, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 3000,
+                                   energies=disk.energies)
+    points = traj.points
+    assert len(points) - 1 > 2 * PAIR_CHUNK
+    for name, energy in disk.energies.items():
+        per_pair = np.array([energy(a, b) for a, b in zip(points[:-1], points[1:])])
+        assert np.array_equal(energy.series(points), per_pair), name
+        assert np.array_equal(series[name], per_pair), name
+        assert np.array_equal(pair_series({name: energy}, points)[name], per_pair), name
+
+
+def test_simulate_accepts_plain_pair_energies():
+    disk = rolling_disk(H)
+    rule = midpoint_rule()
+    plain = {name: (lambda a, b, fn=fn: fn(a, b)) for name, fn in disk.energies.items()}
+    traj, series, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 50,
+                                   energies=plain)
+    _, with_series, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 50,
+                                     energies=disk.energies)
+    assert list(series) == list(with_series) == ["K1d", "K2d", "K3d"]
+    for name in series:
+        assert series[name].shape == (51,)
+        assert np.array_equal(series[name], with_series[name])

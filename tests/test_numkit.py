@@ -120,6 +120,44 @@ def test_march_wraps_numerical_failures_only():
         numkit.march(buggy, [0.0], [1.0], 5)
 
 
+@pytest.mark.parametrize("q0, q1", [
+    (0.0, 1.0),                  # scalars
+    ([0.0, 0.0], 0.1),           # a scalar q1 would broadcast
+    ([0.0, 0.0], [0.1]),         # a short q1 would broadcast too
+    ([0.0, 0.0], [0.1, 0.2, 0.3]),
+    ([[0.0, 0.0]], [[0.1, 0.2]]),
+])
+def test_march_rejects_bad_seed_pairs(q0, q1):
+    with pytest.raises(DomainError, match="seed pair"):
+        numkit.march(lambda a, b: 2 * b - a, q0, q1, 3)
+
+
+def test_march_checks_seed_dim_when_given():
+    with pytest.raises(DomainError, match=r"shape \(3,\)"):
+        numkit.march(lambda a, b: 2 * b - a, [0.0, 0.0], [0.1, 0.2], 3, dim=3)
+    points = numkit.march(lambda a, b: 2 * b - a, [0.0, 0.0], [0.1, 0.2], 3, dim=2)
+    assert_allclose(points[-1], [0.4, 0.8])
+
+
+def test_pair_series_uses_series_method_in_chunks():
+    calls = []
+
+    class Summed:
+        def __call__(self, a, b):
+            raise AssertionError("the per-pair path must not run")
+
+        def series(self, block):
+            calls.append(len(block))
+            return block[:-1, 0] + block[1:, 0]
+
+    points = np.arange(2 * (numkit.PAIR_CHUNK + 7), dtype=float).reshape(-1, 2)
+    out = numkit.pair_series({"sum": Summed(), "plain": lambda a, b: b[1] - a[0]}, points)
+    assert calls == [numkit.PAIR_CHUNK + 1, 7]
+    assert_allclose(out["sum"], points[:-1, 0] + points[1:, 0])
+    assert_allclose(out["plain"], np.full(len(points) - 1, 3.0))
+    assert list(out) == ["sum", "plain"]
+
+
 def test_newton_sqrt2():
     cfg = numkit.NewtonConfig()
     root = numkit.newton_solve(lambda x: np.array([x[0] ** 2 - 2.0]), np.array([1.0]), cfg)
