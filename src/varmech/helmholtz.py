@@ -471,7 +471,8 @@ def chc_implicit(fiber: Callable, ode: ImplicitODE, q, qd, qdd=None):
     The acceleration is solved from phi = 0 when not supplied.  The
     residuals vanish iff F fits the equation variationally; unlike the
     classical test this never needs the equation solved for qddot in
-    closed form, only the acceleration Jacobian.
+    closed form, only the acceleration Jacobian C, which must be
+    regular (SingularJacobian otherwise).
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     qd = np.atleast_1d(np.asarray(qd, dtype=float))
@@ -492,7 +493,7 @@ def chc_implicit(fiber: Callable, ode: ImplicitODE, q, qd, qdd=None):
     phi_flat = lambda zz: np.asarray(ode(zz[:n], zz[n:], qdd), dtype=float)
     jphi = numkit.fd_jacobian4(phi_flat, z)
     jq, jd = jphi[:, :n], jphi[:, n:]
-    fd_cinv = np.linalg.solve(cmat.T, fd.T).T  # Fd @ C^{-1}
+    fd_cinv = numkit.lu_solve(cmat.T, fd.T).T  # Fd @ C^{-1}
 
     r1 = fd - fd.T
     r2 = dt_fd + fq - fq.T - fd_cinv @ jd

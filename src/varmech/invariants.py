@@ -32,6 +32,8 @@ def recursion_operator(primary: TwoFormField, secondary: TwoFormField) -> Callab
     def operator(z):
         w1 = primary(z)
         w2 = secondary(z)
+        # one solve per column: a single matrix solve rounds differently
+        # in the last bits, which would move the orbit values
         cols = [numkit.lu_solve(w1, w2[:, j]) for j in range(secondary.dim)]
         return np.column_stack(cols)
 
@@ -61,17 +63,14 @@ def series_along_orbit(recurrence: Callable, q0, q1, steps: int,
                        observable: Callable):
     """Evaluate a pair observable along an orbit of the recurrence.
 
-    Returns an array of steps + 1 values, one per consecutive pair.
+    Returns one value per consecutive pair, steps + 1 in all: a 1-D
+    array for a scalar observable, (steps + 1, k) for one returning a
+    length-k vector.  The orbit runs in ``numkit.march``, so the seed
+    points must be 1-D of one shape (DomainError) and a NumericsError in
+    the recurrence surfaces as StepFailure.
     """
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
-    q0 = np.asarray(q0, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    values = [observable(q0, q1)]
-    for _ in range(steps):
-        q0, q1 = q1, np.asarray(recurrence(q0, q1), dtype=float)
-        values.append(observable(q0, q1))
-    return np.asarray(values)
+    points = numkit.march(recurrence, q0, q1, steps, "recurrence")
+    return numkit.pair_series({"observable": observable}, points)["observable"]
 
 
 def pair_operator_on_orbit(operator: Callable, recurrence: Callable, q0, q1,

@@ -20,14 +20,14 @@ Derivative conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import numkit
 from .errors import DomainError
-from .numkit import DiffConfig, NewtonConfig, DEFAULT_DIFF, DEFAULT_NEWTON
+from .numkit import NewtonConfig, DEFAULT_NEWTON
 
 
 @dataclass
@@ -42,7 +42,6 @@ class DiscreteLagrangian:
         d1, d2: optional analytic gradients, (q0, q1) -> (n,).
         d12: optional analytic mixed second derivative, (q0, q1) -> (n, n)
             with entry [i, j] = d^2 L / d q0^i d q1^j.
-        diff: finite-difference settings for the fallbacks.
     """
 
     dim: int
@@ -51,7 +50,6 @@ class DiscreteLagrangian:
     d1: Callable | None = None
     d2: Callable | None = None
     d12: Callable | None = None
-    diff: DiffConfig = field(default_factory=DiffConfig)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -67,14 +65,14 @@ class DiscreteLagrangian:
         q1 = np.asarray(q1, dtype=float)
         if self.d1 is not None:
             return np.asarray(self.d1(q0, q1), dtype=float)
-        return numkit.fd_gradient(lambda a: self.value(a, q1), q0, self.diff)
+        return numkit.fd_gradient(lambda a: self.value(a, q1), q0)
 
     def D2(self, q0, q1):
         q0 = np.asarray(q0, dtype=float)
         q1 = np.asarray(q1, dtype=float)
         if self.d2 is not None:
             return np.asarray(self.d2(q0, q1), dtype=float)
-        return numkit.fd_gradient(lambda b: self.value(q0, b), q1, self.diff)
+        return numkit.fd_gradient(lambda b: self.value(q0, b), q1)
 
     def D12(self, q0, q1):
         q0 = np.asarray(q0, dtype=float)
@@ -112,10 +110,10 @@ class DiscreteLagrangian:
             q1 = rng.uniform(-1.0, 1.0, self.dim)
             checks = []
             if self.d1 is not None:
-                fd = numkit.fd_gradient(lambda a: self.value(a, q1), q0, self.diff)
+                fd = numkit.fd_gradient(lambda a: self.value(a, q1), q0)
                 checks.append(("d1", self.D1(q0, q1), fd))
             if self.d2 is not None:
-                fd = numkit.fd_gradient(lambda b: self.value(q0, b), q1, self.diff)
+                fd = numkit.fd_gradient(lambda b: self.value(q0, b), q1)
                 checks.append(("d2", self.D2(q0, q1), fd))
             if self.d12 is not None:
                 fd = numkit.fd_mixed_hessian(self.value, q0, q1)
@@ -145,7 +143,6 @@ class DiscreteLagrangian:
             d1=wrap(self.d1),
             d2=wrap(self.d2),
             d12=wrap(self.d12),
-            diff=self.diff,
         )
 
 
@@ -194,7 +191,7 @@ def del_step(lag: DiscreteLagrangian, q0, q1, cfg: NewtonConfig = DEFAULT_NEWTON
     fixed = lag.D2(q0, q1)
     jacobian = None if lag.d12 is None else (lambda q2: lag.D12(q1, q2))
     return numkit.newton_solve(lambda q2: lag.D1(q1, q2) + fixed, 2.0 * q1 - q0,
-                               cfg, lag.diff, jacobian=jacobian)
+                               cfg, jacobian=jacobian)
 
 
 def legendre_minus(lag: DiscreteLagrangian, q0, q1):
@@ -235,7 +232,7 @@ def hamiltonian_map(lag: DiscreteLagrangian, q0, p0,
     p0 = np.asarray(p0, dtype=float)
     jacobian = None if lag.d12 is None else (lambda q1: lag.D12(q0, q1))
     q1 = numkit.newton_solve(lambda q1: lag.D1(q0, q1) + p0, q0 + lag.h * p0,
-                             cfg, lag.diff, jacobian=jacobian)
+                             cfg, jacobian=jacobian)
     return q1, lag.D2(q0, q1)
 
 

@@ -4,12 +4,13 @@ RK4, quadrature.
 All geometry modules sit on top of these routines, so their conventions
 are fixed here once:
 
-* finite-difference steps are relative, ``eps * max(1, |x_i|)``, with a
-  central stencil by default;
+* finite-difference steps are relative, ``eps * max(1, |x_i|)``, with
+  ``eps`` a module constant per stencil (FD_STEP_SCALE, FD2_STEP_SCALE,
+  FD4_STEP_SCALE);
 * every linear system goes through one path, ``lu_solve``: LAPACK's
   partial-pivot LU plus a row-scaled conditioning test, so a singular or
   near-singular Jacobian surfaces as SingularJacobian instead of NaNs or
-  a huge step;
+  a huge step, for vector and matrix right-hand sides alike;
 * every time-stepping integrator runs in ``march``, which turns a
   numerical failure (NumericsError) into StepFailure and lets any other
   exception through untouched;
@@ -32,8 +33,11 @@ import numpy as np
 from .errors import (DomainError, EvaluationError, NoConvergence, NumericsError,
                      SingularJacobian, StepFailure)
 
-# Default relative step for first-order central differences.
+# Relative step of the first-order central differences.
 FD_STEP_SCALE = 2.0 ** -17
+# Relative step of the mixed second-difference cross stencil: about
+# mach**(1/4), the optimum for second differences rather than first ones.
+FD2_STEP_SCALE = 1.2e-4
 # Wider default for the order-4 stencil (optimum grows with stencil order).
 FD4_STEP_SCALE = 1e-3
 # Singularity threshold of lu_solve: a row-scaled condition number above
@@ -45,24 +49,6 @@ EPS = float(np.finfo(float).eps)
 # Most pairs pair_series hands to an energy monitor's ``series`` at once,
 # which bounds the temporaries of a long run.
 PAIR_CHUNK = 1024
-
-
-@dataclass(frozen=True)
-class DiffConfig:
-    """Finite-difference settings.
-
-    fd_step_scale: relative step; the actual step for coordinate i is
-        ``fd_step_scale * max(1, |x_i|)``.
-    """
-
-    fd_step_scale: float = FD_STEP_SCALE
-
-    def __post_init__(self):
-        if self.fd_step_scale <= 0:
-            raise DomainError("fd_step_scale must be positive")
-
-    def step(self, x):
-        return self.fd_step_scale * np.maximum(1.0, np.abs(x))
 
 
 @dataclass(frozen=True)
@@ -79,7 +65,6 @@ class NewtonConfig:
     max_iter: int = 50
 
 
-DEFAULT_DIFF = DiffConfig()
 DEFAULT_NEWTON = NewtonConfig()
 
 
@@ -99,10 +84,10 @@ def _check_finite(value, where):
         raise EvaluationError(f"non-finite value encountered {where}")
 
 
-def fd_jacobian(f, x, cfg: DiffConfig = DEFAULT_DIFF):
+def fd_jacobian(f, x):
     """Jacobian of ``f`` at ``x`` by central differences, shape (m, n)."""
     x = _asvec(x)
-    steps = cfg.step(x)
+    steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
     cols = []
     for i in range(x.size):
         e = np.zeros_like(x)
@@ -115,10 +100,10 @@ def fd_jacobian(f, x, cfg: DiffConfig = DEFAULT_DIFF):
     return np.column_stack(cols)
 
 
-def fd_gradient(f, x, cfg: DiffConfig = DEFAULT_DIFF):
+def fd_gradient(f, x):
     """Gradient of a scalar function, shape (n,)."""
     x = _asvec(x)
-    steps = cfg.step(x)
+    steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
     g = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
@@ -172,19 +157,14 @@ def fd_directional4(f, x, direction, step_scale: float = FD4_STEP_SCALE):
     return (-f1 + 8 * f2 - 8 * f3 + f4) / (12.0 * t)
 
 
-def fd_mixed_hessian(f, a, b, step_scale: float | None = None):
+def fd_mixed_hessian(f, a, b):
     """Matrix of mixed second partials ``d^2 f / da_i db_j`` of a scalar
-    two-slot function, by the four-point cross stencil.
-
-    The step default is mach**(1/4)-ish, the optimum for second
-    differences rather than first ones.
-    """
+    two-slot function, by the four-point cross stencil at relative step
+    FD2_STEP_SCALE."""
     a = _asvec(a)
     b = _asvec(b)
-    if step_scale is None:
-        step_scale = 1.2e-4
-    sa = step_scale * np.maximum(1.0, np.abs(a))
-    sb = step_scale * np.maximum(1.0, np.abs(b))
+    sa = FD2_STEP_SCALE * np.maximum(1.0, np.abs(a))
+    sb = FD2_STEP_SCALE * np.maximum(1.0, np.abs(b))
     out = np.empty((a.size, b.size))
     for i in range(a.size):
         ea = np.zeros_like(a)
@@ -217,10 +197,12 @@ def lu_solve(a, rhs):
 
     The package's one linear-solve path: LAPACK's partial-pivot LU
     (``np.linalg.solve``), then one conditioning test.  After scaling
-    each row by its largest entry, a solution larger than the scaled
-    right-hand side over PIVOT_FLOOR proves a condition number above
-    1/PIVOT_FLOOR: singular at working precision.  An exactly singular
-    matrix or a non-finite solution raises too.
+    each row of the system by the row's largest entry of ``a``, a
+    solution larger than the scaled right-hand side over PIVOT_FLOOR
+    proves a condition number above 1/PIVOT_FLOOR: singular at working
+    precision.  An exactly singular matrix or a non-finite solution
+    raises too.  ``rhs`` may be a vector of shape (n,) or a matrix of
+    shape (n, k) whose columns are k right-hand sides.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -233,7 +215,9 @@ def lu_solve(a, rhs):
     # np.maximum.reduce: the value of abs(x).max(), NaN included, without
     # the method dispatch
     size = _maxreduce(np.absolute(x), None)
-    scaled_rhs = _maxreduce(np.absolute(rhs) / _maxreduce(np.absolute(a), 1), None)
+    # rhs.T puts the row index of a matrix right-hand side last, where
+    # the row maxima broadcast; a vector passes as itself
+    scaled_rhs = _maxreduce(np.absolute(rhs.T) / _maxreduce(np.absolute(a), 1), None)
     if not size < np.inf or size * PIVOT_FLOOR > scaled_rhs:
         raise SingularJacobian(
             f"solution of size {size:.3e} against a row-scaled right-hand "
@@ -247,8 +231,8 @@ def _rounding_floor(jac, x):
     return 4.0 * EPS * float(abs(jac).sum(axis=1).max()) * max(1.0, float(abs(x).max()))
 
 
-def newton_solve(f, x0, cfg: NewtonConfig = DEFAULT_NEWTON, diff: DiffConfig = DEFAULT_DIFF,
-                 *, jacobian: Callable | None = None, tol_scale: float = 1.0):
+def newton_solve(f, x0, cfg: NewtonConfig = DEFAULT_NEWTON, *,
+                 jacobian: Callable | None = None, tol_scale: float = 1.0):
     """Solve ``f(x) = 0`` from ``x0``; returns the root.
 
     The Jacobian is the caller's analytic ``jacobian`` when given, else
@@ -274,7 +258,7 @@ def newton_solve(f, x0, cfg: NewtonConfig = DEFAULT_NEWTON, diff: DiffConfig = D
     for _ in range(cfg.max_iter):
         if best <= limit:
             return x
-        jac = jacobian(x) if jacobian is not None else fd_jacobian(f, x, diff)
+        jac = jacobian(x) if jacobian is not None else fd_jacobian(f, x)
         x = x - lu_solve(jac, r)
         r = _asvec(f(x))
         best = _residual_size(r)
@@ -331,7 +315,8 @@ def march(step, q0, q1, steps: int, label: str = "step", dim: int | None = None)
 def pair_series(funcs, points):
     """Each function of a consecutive pair evaluated along ``points``:
     a dict of arrays of length len(points) - 1, in the order of
-    ``funcs``.
+    ``funcs``.  A scalar function gives a 1-D array, one returning a
+    vector of length k an (len(points) - 1, k) array.
 
     A function with a ``series`` method (such as the wrapper of
     ``nonholonomic.midpoint_energy``) gets the points in blocks of at
@@ -344,8 +329,8 @@ def pair_series(funcs, points):
     for name, fn in funcs.items():
         series = getattr(fn, "series", None)
         if series is None:
-            out[name] = np.fromiter((float(fn(a, b)) for a, b in zip(points[:-1], points[1:])),
-                                    dtype=float, count=count)
+            out[name] = np.array([fn(a, b) for a, b in zip(points[:-1], points[1:])],
+                                 dtype=float)
             continue
         values = np.empty(count)
         for start in range(0, count, PAIR_CHUNK):

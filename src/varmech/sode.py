@@ -17,14 +17,14 @@ material for the implicit variationality conditions in ``helmholtz``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import numkit
 from .errors import DomainError, OffManifold
-from .numkit import DiffConfig, NewtonConfig, DEFAULT_NEWTON
+from .numkit import NewtonConfig, DEFAULT_NEWTON
 
 
 @dataclass
@@ -69,7 +69,6 @@ class ImplicitSOdE:
     dim: int
     phi: Callable
     c: Callable | None = None
-    diff: DiffConfig = field(default_factory=DiffConfig)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -87,7 +86,7 @@ class ImplicitSOdE:
         """Jacobian of phi in the q2 slot, shape (n, n)."""
         if self.c is not None:
             return np.asarray(self.c(q0, q1, q2), dtype=float)
-        return numkit.fd_jacobian(lambda q: self(q0, q1, q), q2, self.diff)
+        return numkit.fd_jacobian(lambda q: self(q0, q1, q), q2)
 
     def is_regular(self, q0, q1, q2):
         m = self.C(q0, q1, q2)
@@ -114,22 +113,22 @@ def implicit_step(eq: ImplicitSOdE, q0, q1, guess=None,
     q1 = np.asarray(q1, dtype=float)
     if guess is None:
         guess = 2.0 * q1 - q0
-    return numkit.newton_solve(lambda q2: eq(q0, q1, q2), guess, cfg, eq.diff,
+    return numkit.newton_solve(lambda q2: eq(q0, q1, q2), guess, cfg,
                                jacobian=lambda q2: eq.C(q0, q1, q2))
 
 
 def tangent_basis(eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
     """Bases A, B of the tangent space of {phi = 0} at an on-manifold
     triple, each of shape (n, 3n); row i holds the coefficients of A_i
-    (resp. B_i) in the coordinate frame (q0, q1, q2)."""
+    (resp. B_i) in the coordinate frame (q0, q1, q2).  Raises
+    SingularJacobian where C is singular at working precision."""
     eq.require_on_manifold(q0, q1, q2, tol)
     n = eq.dim
     cmat = eq.C(q0, q1, q2)
-    j0 = numkit.fd_jacobian(lambda q: eq(q, q1, q2), np.asarray(q0, dtype=float), eq.diff)
-    j1 = numkit.fd_jacobian(lambda q: eq(q0, q, q2), np.asarray(q1, dtype=float), eq.diff)
-    # solve C X = J for both right-hand sides at once
-    corr0 = np.linalg.solve(cmat, j0)
-    corr1 = np.linalg.solve(cmat, j1)
+    j0 = numkit.fd_jacobian(lambda q: eq(q, q1, q2), np.asarray(q0, dtype=float))
+    j1 = numkit.fd_jacobian(lambda q: eq(q0, q, q2), np.asarray(q1, dtype=float))
+    corr0 = numkit.lu_solve(cmat, j0)
+    corr1 = numkit.lu_solve(cmat, j1)
     a = np.zeros((n, 3 * n))
     b = np.zeros((n, 3 * n))
     a[:, :n] = np.eye(n)

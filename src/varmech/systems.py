@@ -54,14 +54,10 @@ class VariationalSystem:
     fiber: FiberMap
     initial: tuple
     energies: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
     alternate_lagrangian: DiscreteLagrangian | None = None
     invariant: Callable | None = None
-    coords: tuple = ()
 
     def coord_names(self):
-        if self.coords:
-            return tuple(self.coords)
         if self.dim == 1:
             return ("x",)
         return tuple(f"q{i + 1}" for i in range(self.dim))
@@ -108,7 +104,6 @@ def free_particle(h: float = 0.1, dim: int = 2) -> VariationalSystem:
         fiber=FiberMap(dim=dim, func=lambda q0, q1: (q1 - q0) / h),
         initial=(np.zeros(dim), h * velocity),
         energies={"kinetic": lambda q0, q1: float((q1 - q0) @ (q1 - q0)) / (2 * h * h)},
-        params={"h": h, "dim": dim},
     )
 
 
@@ -166,7 +161,6 @@ def exact_oscillator(h: float = 0.1) -> VariationalSystem:
         fiber=FiberMap(dim=1, func=lambda q0, q1: (q1 - c * q0) / s),
         initial=(np.array([1.0]), np.array([c])),
         energies={"oscillation": lambda q0, q1: invariant(q0, q1) / (2 * s * s)},
-        params={"h": h},
         alternate_lagrangian=alt,
         invariant=invariant,
     )
@@ -204,10 +198,9 @@ class RollingDisk:
     fibers: dict
     base_point: np.ndarray
     next_angles: tuple
-    coords: tuple = ("theta", "phi", "x", "y")
 
     def coord_names(self):
-        return tuple(self.coords)
+        return ("theta", "phi", "x", "y")
 
     @property
     def dim(self):
@@ -446,7 +439,6 @@ def backward_error(h: float = 0.1, gauge: float = 0.0) -> VariationalSystem:
         fiber=fiber,
         initial=(x0, np.array([(1 - h * h) * x0[0] - gauge * h * h])),
         energies={"shadow": shadow_energy},
-        params={"h": h, "gauge": gauge},
     )
 
 
@@ -464,7 +456,6 @@ class ImplicitForceSystem:
     momentum: Callable
     jets: list
     worst_residual_reference: Callable
-    params: dict = field(default_factory=dict)
 
     @property
     def dim(self):
@@ -520,20 +511,15 @@ class ImplicitRecurrenceSystem:
     equation: ImplicitSOdE
     fiber: FiberMap
     initial: tuple
+    h: float
     energies: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-    coords: tuple = ("x",)
 
     def coord_names(self):
-        return tuple(self.coords)
+        return ("x",)
 
     @property
     def dim(self):
         return self.equation.dim
-
-    @property
-    def h(self):
-        return self.params["h"]
 
 
 def exp_recurrence(h: float = 0.1) -> ImplicitRecurrenceSystem:
@@ -549,8 +535,8 @@ def exp_recurrence(h: float = 0.1) -> ImplicitRecurrenceSystem:
         equation=eq,
         fiber=FiberMap(dim=1, func=lambda q0, q1: (q1 - q0) / h),
         initial=(np.array([0.0]), np.array([h])),
+        h=h,
         energies={"kinetic": lambda q0, q1: float((q1[0] - q0[0]) ** 2) / (2 * h * h)},
-        params={"h": h},
     )
 
 

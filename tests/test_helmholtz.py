@@ -413,6 +413,22 @@ def test_check_dhc_implicit_report():
     assert report.check == "dhc-implicit"
 
 
+def test_check_dhc_implicit_singular_c_raises():
+    cmat = np.array([[1.0, 1.0], [1.0, 1.0]])
+    eq = ImplicitSOdE(dim=2, phi=lambda q0, q1, q2: cmat @ (q2 - 2 * q1 + q0),
+                      c=lambda q0, q1, q2: cmat)
+    fiber = hz.FiberMap(dim=2, func=lambda q0, q1: (q1 - q0) / H)
+    with pytest.raises(SingularJacobian):
+        hz.check_dhc_implicit(fiber, eq, [[0.1, 0.2, 0.3, 0.1]])
+
+
+def test_check_ihc_singular_acceleration_jacobian_raises():
+    # phi = qdd^3 has the root qdd = 0, where its Jacobian vanishes
+    ode = hz.ImplicitODE(dim=1, phi=lambda q, qd, qdd: qdd ** 3)
+    with pytest.raises(SingularJacobian):
+        hz.check_ihc(lambda q, qd: qd.copy(), ode, [[0.1, 0.2]])
+
+
 def test_check_isotropy_report_with_dimension():
     emb = hz.gamma_embedding(velocity_fiber(), free_recurrence())
     report = hz.check_isotropy(emb, hz.sample_box(4, 6, seed=0), lagrangian_dim=4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from varmech.errors import DomainError, SingularJacobian
+from varmech.errors import DomainError, NoConvergence, SingularJacobian, StepFailure
 from varmech.helmholtz import TwoFormField
 from varmech.invariants import (pair_operator_on_orbit, recursion_operator,
                                 series_along_orbit, spectrum, trace_powers)
@@ -84,3 +84,32 @@ def test_series_along_orbit_values():
     assert series.shape == (31,)
     assert np.ptp(series) < 1e-14
     assert_allclose(series[0], math.sin(0.1) ** 2, atol=1e-15)
+
+
+def test_series_along_orbit_numerical_failure_is_step_failure():
+    def recurrence(q0, q1):
+        if q1[0] >= 3.0:
+            raise NoConvergence("stuck")
+        return 2 * q1 - q0
+
+    with pytest.raises(StepFailure) as info:
+        series_along_orbit(recurrence, np.array([0.0]), np.array([1.0]), 10,
+                           lambda a, b: b[0] - a[0])
+    assert info.value.step == 2
+    assert isinstance(info.value.cause, NoConvergence)
+    assert np.array_equal(info.value.partial[:, 0], [0.0, 1.0, 2.0, 3.0])
+
+
+def test_series_along_orbit_other_errors_propagate():
+    def buggy(q0, q1):
+        raise ValueError("user bug")
+
+    with pytest.raises(ValueError, match="user bug"):
+        series_along_orbit(buggy, np.array([0.0]), np.array([1.0]), 3,
+                           lambda a, b: 0.0)
+
+
+@pytest.mark.parametrize("q0, q1", [(0.0, 1.0), ([0.0, 0.0], [1.0])])
+def test_series_along_orbit_rejects_bad_seed_pairs(q0, q1):
+    with pytest.raises(DomainError, match="seed pair"):
+        series_along_orbit(lambda a, b: 2 * b - a, q0, q1, 3, lambda a, b: 0.0)

@@ -88,9 +88,11 @@ def test_lu_solve_singular_raises():
 
 def test_lu_solve_near_singular_raises():
     # Rows equal to working precision: LAPACK returns an answer of size
-    # 9e14, which the conditioning test must refuse.
-    with pytest.raises(SingularJacobian):
-        numkit.lu_solve([[1.0, 1.0], [1.0, 1.0 + 1e-15]], [1.0, 0.0])
+    # 9e14, which the conditioning test must refuse, for a vector and a
+    # matrix right-hand side alike.
+    for rhs in ([1.0, 0.0], np.eye(2)):
+        with pytest.raises(SingularJacobian):
+            numkit.lu_solve([[1.0, 1.0], [1.0, 1.0 + 1e-15]], rhs)
 
 
 def test_lu_solve_badly_scaled_rows_are_fine():
@@ -99,6 +101,25 @@ def test_lu_solve_badly_scaled_rows_are_fine():
     a = np.array([[2.0, 1.0], [1e-20, 3e-20]])
     b = np.array([1.0, 2e-20])
     assert_allclose(numkit.lu_solve(a, b), np.linalg.solve(a, b), rtol=1e-15)
+
+
+def test_lu_solve_matrix_rhs_is_row_scaled():
+    # Row j of the system is scaled by row j of a, whatever the number of
+    # right-hand-side columns: this system is perfectly conditioned.
+    a = np.diag([1.0, 1e-20])
+    rhs = np.array([[0.0, 0.0], [1e-20, 0.0]])
+    x = numkit.lu_solve(a, rhs)
+    assert np.array_equal(x, [[0.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(x, np.linalg.solve(a, rhs))
+
+
+def test_lu_solve_rectangular_matrix_rhs():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(2, 2)) + 3 * np.eye(2)
+    rhs = rng.normal(size=(2, 3))
+    x = numkit.lu_solve(a, rhs)
+    assert x.shape == (2, 3)
+    assert np.array_equal(x, np.linalg.solve(a, rhs))
 
 
 def test_march_wraps_numerical_failures_only():
@@ -233,6 +254,16 @@ def test_gauss_legendre_exactness():
         assert_allclose(val, 1.0 / (deg + 1), atol=1e-13)
 
 
+def test_pair_series_vector_function_gives_columns():
+    points = np.arange(12, dtype=float).reshape(-1, 2)
+    fn = lambda a, b: np.array([a[0] * b[1], b[0] - a[1], 1.0])
+    out = numkit.pair_series({"v": fn, "s": lambda a, b: a[0] + b[0]}, points)
+    assert out["v"].shape == (5, 3)
+    assert np.array_equal(out["v"], np.stack([fn(a, b) for a, b in zip(points[:-1], points[1:])]))
+    assert out["s"].shape == (5,)
+    assert np.array_equal(out["s"], points[:-1, 0] + points[1:, 0])
+
+
 def test_fit_order_cubic_signal():
     h = np.logspace(-3, -1, 9)
     err = h ** 3 + h ** 5
@@ -245,8 +276,3 @@ def test_fit_order_rejects_bad_input():
         numkit.fit_order([0.1], [0.2])
     with pytest.raises(DomainError):
         numkit.fit_order([0.1, 0.2], [0.0, 0.1])
-
-
-def test_diffconfig_validation():
-    with pytest.raises(DomainError):
-        numkit.DiffConfig(fd_step_scale=-1.0)

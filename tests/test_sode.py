@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from varmech import sode
-from varmech.errors import DomainError, OffManifold
+from varmech.errors import DomainError, OffManifold, SingularJacobian
 
 
 def test_explicit_flow():
@@ -86,6 +86,16 @@ def test_tangent_basis_off_manifold_raises():
     eq = sode.ImplicitSOdE(dim=1, phi=lambda a, b, c: c - 2 * b + a)
     with pytest.raises(OffManifold):
         sode.tangent_basis(eq, np.array([0.0]), np.array([1.0]), np.array([7.0]))
+
+
+@pytest.mark.parametrize("analytic_c", [True, False])
+def test_tangent_basis_singular_c_raises(analytic_c):
+    cmat = np.array([[1.0, 1.0], [1.0, 1.0]])
+    eq = sode.ImplicitSOdE(dim=2, phi=lambda a, b, c: cmat @ (c - 2 * b + a),
+                           c=(lambda a, b, c: cmat) if analytic_c else None)
+    q0, q1 = np.array([0.1, 0.2]), np.array([0.3, 0.1])
+    with pytest.raises(SingularJacobian):
+        sode.tangent_basis(eq, q0, q1, 2 * q1 - q0)
 
 
 def test_explicit_to_implicit_round_trip():
