@@ -35,7 +35,6 @@ from . import numkit, systems
 from .errors import NoConvergence
 from .helmholtz import FiberMap
 from .lagrangian import DiscreteLagrangian
-from .numkit import NewtonConfig
 from .sode import ExplicitSOdE
 
 SHOOT_TOL = 1e-12
@@ -113,8 +112,7 @@ def shoot_initial_velocity(system: ContinuousSystem, q0, q1, h: float, guess=Non
     def residual(v):
         return system.flow_to(q0, v, h)[0] - q1
 
-    return numkit.newton_solve(residual, guess,
-                               NewtonConfig(abs_tol=SHOOT_TOL, max_iter=50))
+    return numkit.newton_solve(residual, guess, tol=SHOOT_TOL)
 
 
 def _composite_quadrature(integrand: Callable, length: float,

@@ -35,7 +35,7 @@ from .helmholtz import (TwoFormField, check_chc, check_dhc_explicit,
 from .lagrangian import DiscreteLagrangian
 from .lagrangian import simulate as lagrangian_simulate
 from .nonholonomic import dla_simulate, rule_from_spec
-from .numkit import DEFAULT_NEWTON, PAIR_CHUNK, NewtonConfig, march, pair_series
+from .numkit import PAIR_CHUNK, march, pair_series
 from .sode import explicit_to_implicit, implicit_step
 from .systems import (ImplicitForceSystem, ImplicitRecurrenceSystem,
                       RollingDisk, VariationalSystem, make_system,
@@ -199,12 +199,6 @@ def _resolve_rule(spec: str):
         raise ConfigError(str(exc)) from exc
 
 
-def _newton_config(cfg: RunConfig) -> NewtonConfig:
-    if cfg.tol is None:
-        return DEFAULT_NEWTON
-    return NewtonConfig(abs_tol=cfg.tol)
-
-
 # ---------------------------------------------------------------------------
 # output
 
@@ -283,15 +277,13 @@ class _SimulationPlan:
 
 def plan_simulation(cfg: RunConfig, bundle) -> _SimulationPlan:
     steps = DEFAULT_STEPS if cfg.steps is None else cfg.steps
-    newton = _newton_config(cfg)
 
     if isinstance(bundle, RollingDisk):
         rule = _resolve_rule(cfg.rule or "midpoint")
         q0, q1 = _initial_pair(cfg, bundle.initial_pair(rule), bundle.dim)
 
         def run():
-            traj, _, _ = dla_simulate(bundle.system, rule, q0, q1, steps,
-                                      cfg=newton)
+            traj, _, _ = dla_simulate(bundle.system, rule, q0, q1, steps, tol=cfg.tol)
             return traj.points
 
         return _SimulationPlan(bundle.coord_names(), bundle.energies, run)
@@ -303,8 +295,7 @@ def plan_simulation(cfg: RunConfig, bundle) -> _SimulationPlan:
         q0, q1 = _initial_pair(cfg, bundle.initial, bundle.dim)
 
         def run():
-            traj, _ = lagrangian_simulate(bundle.lagrangian, q0, q1, steps,
-                                          cfg=newton)
+            traj, _ = lagrangian_simulate(bundle.lagrangian, q0, q1, steps, tol=cfg.tol)
             return traj.points
 
         return _SimulationPlan(bundle.coord_names(), bundle.energies, run)
@@ -314,7 +305,7 @@ def plan_simulation(cfg: RunConfig, bundle) -> _SimulationPlan:
         equation = bundle.equation
 
         def run():
-            return march(lambda a, b: implicit_step(equation, a, b, cfg=newton),
+            return march(lambda a, b: implicit_step(equation, a, b, tol=cfg.tol),
                          q0, q1, steps, "implicit step")
 
         return _SimulationPlan(bundle.coord_names(), bundle.energies, run)

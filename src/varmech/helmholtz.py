@@ -49,8 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import numkit
-from .errors import DomainError, SingularJacobian
-from .numkit import NewtonConfig, DEFAULT_NEWTON
+from .errors import DomainError, EvaluationError, SingularJacobian
 from .sode import ExplicitSOdE, ImplicitSOdE, implicit_step, tangent_basis
 
 
@@ -176,8 +175,7 @@ def plus_from_minus(fiber: FiberMap, eq: ExplicitSOdE, probe=None) -> FiberMap:
     if probe is not None:
         q0, q1 = (np.asarray(p, dtype=float) for p in probe)
         j = numkit.fd_jacobian4(lambda a: eq(a, q1), q0)
-        rows = np.linalg.norm(j, axis=1)
-        if np.any(rows < 1e-10) or abs(np.linalg.det(j)) <= 1e-12 * float(np.prod(rows)):
+        if np.any(np.linalg.norm(j, axis=1) < 1e-10) or not numkit.is_regular(j):
             raise SingularJacobian(
                 "recurrence has singular first-slot Jacobian at the probe; "
                 "its advanced fiber map is not a plus Legendre pattern"
@@ -429,12 +427,12 @@ class ImplicitODE:
             return np.asarray(self.c(q, qd, qdd), dtype=float)
         return numkit.fd_jacobian4(lambda a: self(q, qd, a), np.asarray(qdd, dtype=float))
 
-    def solve_acceleration(self, q, qd, guess=None, cfg: NewtonConfig = DEFAULT_NEWTON):
+    def solve_acceleration(self, q, qd, guess=None):
         q = np.asarray(q, dtype=float)
         qd = np.asarray(qd, dtype=float)
         if guess is None:
             guess = np.zeros(self.dim)
-        return numkit.newton_solve(lambda a: self(q, qd, a), guess, cfg,
+        return numkit.newton_solve(lambda a: self(q, qd, a), guess,
                                    jacobian=lambda a: self.C(q, qd, a))
 
 
@@ -590,7 +588,9 @@ def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float
     point where it occurred (a tie goes to the later point).  The
     effective tolerance is tol * max(1, s) with s the largest size over
     all points: residuals of well-scaled data are compared as-is, steep
-    Jacobians widen the band proportionally.
+    Jacobians widen the band proportionally.  A non-finite residual or
+    size raises EvaluationError naming the check, the condition and the
+    point, since it could neither pass nor fail.
     """
     if len(points) == 0 or np.size(points[0]) == 0:  # atleast_2d([]) is one empty point
         raise DomainError(f"{check} needs at least one sample point")
@@ -599,9 +599,11 @@ def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float
     scale = 1.0
     for z in points:
         residuals, z_scale = residuals_at(z)
+        _require_finite(check, "data size", z_scale, z)
         scale = max(scale, z_scale)
         for k, val in enumerate(residuals):
             mag = float(np.max(np.abs(val)))
+            _require_finite(check, names[k], mag, z)
             if mag >= worst[k]:
                 worst[k] = mag
                 worst_point[k] = z
@@ -614,6 +616,12 @@ def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float
         for name, mag, z in zip(names, worst, worst_point)
     ]
     return report
+
+
+def _require_finite(check, condition, value, z):
+    if not value < np.inf:  # NaN fails the comparison too
+        raise EvaluationError(f"{check}: non-finite {condition} at point "
+                              f"{[float(v) for v in np.atleast_1d(z)]}")
 
 
 def check_dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, samples,
@@ -632,15 +640,14 @@ def check_dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, samples,
 
 
 def check_dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, samples,
-                       tol: float = 1e-6, system: str = "", params: dict | None = None,
-                       cfg: NewtonConfig = DEFAULT_NEWTON):
+                       tol: float = 1e-6, system: str = "", params: dict | None = None):
     """Sampled implicit discrete Helmholtz verdict; samples are pair
     points, the third triple member is solved from phi = 0."""
     n = fiber.dim
 
     def residuals_at(z):
         q0, q1 = z[:n], z[n:]
-        return _dhc_implicit(fiber, eq, q0, q1, implicit_step(eq, q0, q1, cfg=cfg))
+        return _dhc_implicit(fiber, eq, q0, q1, implicit_step(eq, q0, q1))
 
     return _sampled_check(
         "dhc-implicit", ("dHC1", "dHC2", "dHC3"), residuals_at,

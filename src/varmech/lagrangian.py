@@ -20,6 +20,7 @@ Derivative conventions used throughout the package:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import numkit
 from .errors import DomainError
-from .numkit import NewtonConfig, DEFAULT_NEWTON
 
 
 @dataclass
@@ -82,46 +82,36 @@ class DiscreteLagrangian:
         return numkit.fd_mixed_hessian(self.value, q0, q1)
 
     def is_regular(self, q0, q1):
-        """Whether D12 is invertible at (q0, q1) at working precision.
-
-        The determinant is compared against 1e-12 times the product of
-        row norms (its Hadamard bound), which makes the test invariant
-        under rescaling the Lagrangian.  When D12 comes from the cross
-        stencil its entries carry noise near 4e-9 times the function
-        scale, so rows below that floor count as zero.
+        """Whether D12 is invertible at (q0, q1) at working precision,
+        by ``numkit.is_regular``, the test of the linear solves; it is
+        invariant under rescaling the Lagrangian.  When D12 comes from
+        the cross stencil its entries carry noise near 4e-9 times the
+        function scale, so rows below that floor count as zero.
         """
         m = self.D12(q0, q1)
-        rows = np.linalg.norm(m, axis=1)
         if self.d12 is None:
             floor = 4e-8 * max(1.0, abs(self(q0, q1)))
-            if np.any(rows < floor):
+            if np.any(np.linalg.norm(m, axis=1) < floor):
                 return False
-        bound = float(np.prod(rows))
-        if bound == 0.0:
-            return False
-        return abs(float(np.linalg.det(m))) > 1e-12 * bound
+        return numkit.is_regular(m)
 
     def validate(self, probes: int = 8, seed: int = 0, tol: float = 1e-6):
         """Check analytic derivatives against finite differences at seeded
         random probe pairs; raises DomainError on mismatch."""
         rng = np.random.default_rng(seed)
+        fd = dataclasses.replace(self, d1=None, d2=None, d12=None)
         for _ in range(probes):
             q0 = rng.uniform(-1.0, 1.0, self.dim)
             q1 = rng.uniform(-1.0, 1.0, self.dim)
-            checks = []
-            if self.d1 is not None:
-                fd = numkit.fd_gradient(lambda a: self.value(a, q1), q0)
-                checks.append(("d1", self.D1(q0, q1), fd))
-            if self.d2 is not None:
-                fd = numkit.fd_gradient(lambda b: self.value(q0, b), q1)
-                checks.append(("d2", self.D2(q0, q1), fd))
-            if self.d12 is not None:
-                fd = numkit.fd_mixed_hessian(self.value, q0, q1)
-                checks.append(("d12", self.D12(q0, q1), fd))
-            for name, analytic, fd in checks:
+            for name in ("d1", "d2", "d12"):
+                if getattr(self, name) is None:
+                    continue
+                slot = name.upper()  # the D1/D2/D12 method
+                analytic = getattr(self, slot)(q0, q1)
+                diff = np.abs(analytic - getattr(fd, slot)(q0, q1))
                 scale = np.maximum(1.0, np.abs(analytic))
-                if np.any(np.abs(analytic - fd) > tol * scale):
-                    worst = float(np.max(np.abs(analytic - fd) / scale))
+                if np.any(diff > tol * scale):
+                    worst = float(np.max(diff / scale))
                     raise DomainError(
                         f"analytic {name} disagrees with finite differences "
                         f"(relative error {worst:.2e} at q0={q0}, q1={q1})"
@@ -175,12 +165,12 @@ def del_residual(lag: DiscreteLagrangian, q0, q1, q2):
     return lag.D1(q1, q2) + lag.D2(q0, q1)
 
 
-def del_step(lag: DiscreteLagrangian, q0, q1, cfg: NewtonConfig = DEFAULT_NEWTON):
+def del_step(lag: DiscreteLagrangian, q0, q1, *, tol: float | None = None):
     """Advance the recurrence one step: solve for q2 given (q0, q1).
 
     Newton starts from the linear predictor 2 q1 - q0.  The Jacobian is
-    the analytic D12(q1, q2) when available.  Unless ``cfg.abs_tol``
-    is set, the tolerance is floored at the residual's rounding level,
+    the analytic D12(q1, q2) when available.  With ``tol`` None, the
+    default, the tolerance is floored at the residual's rounding level,
     which grows with |q| (see ``numkit.newton_solve``).  Note
     the residual floor of finite-difference derivatives is about 1e-10,
     so Lagrangians without analytic d1/d2 need a looser Newton
@@ -191,7 +181,7 @@ def del_step(lag: DiscreteLagrangian, q0, q1, cfg: NewtonConfig = DEFAULT_NEWTON
     fixed = lag.D2(q0, q1)
     jacobian = None if lag.d12 is None else (lambda q2: lag.D12(q1, q2))
     return numkit.newton_solve(lambda q2: lag.D1(q1, q2) + fixed, 2.0 * q1 - q0,
-                               cfg, jacobian=jacobian)
+                               tol=tol, jacobian=jacobian)
 
 
 def legendre_minus(lag: DiscreteLagrangian, q0, q1):
@@ -220,33 +210,33 @@ def lagrangian_two_form(lag: DiscreteLagrangian, q0, q1):
     return out
 
 
-def hamiltonian_map(lag: DiscreteLagrangian, q0, p0,
-                    cfg: NewtonConfig = DEFAULT_NEWTON):
+def hamiltonian_map(lag: DiscreteLagrangian, q0, p0, *, tol: float | None = None):
     """One step of the momentum-space map the recurrence induces.
 
     Solves -D1 L(q0, q1) = p0 for q1, then pushes forward with the plus
     Legendre transform: returns (q1, D2 L(q0, q1)).  Needs D12 regular
-    along the way; a singular solve raises SingularJacobian.
+    along the way; a singular solve raises SingularJacobian.  ``tol`` is
+    the Newton tolerance of ``numkit.newton_solve``.
     """
     q0 = np.asarray(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     jacobian = None if lag.d12 is None else (lambda q1: lag.D12(q0, q1))
     q1 = numkit.newton_solve(lambda q1: lag.D1(q0, q1) + p0, q0 + lag.h * p0,
-                             cfg, jacobian=jacobian)
+                             tol=tol, jacobian=jacobian)
     return q1, lag.D2(q0, q1)
 
 
 def simulate(lag: DiscreteLagrangian, q0, q1, steps: int,
-             energies: dict[str, Callable] | None = None,
-             cfg: NewtonConfig = DEFAULT_NEWTON):
+             energies: dict[str, Callable] | None = None, *, tol: float | None = None):
     """March del_step from the seed pair (q0, q1).
 
     Returns (Trajectory, energy dict); the trajectory has steps + 2
     points and each energy series one value per consecutive pair.  The
     seed points must have shape (lag.dim,) (DomainError).  A
     numerical failure in a step raises StepFailure carrying the step
-    index; other exceptions propagate unchanged.
+    index; other exceptions propagate unchanged.  ``tol`` is each
+    step's Newton tolerance (see ``del_step``).
     """
-    points = numkit.march(lambda a, b: del_step(lag, a, b, cfg), q0, q1, steps,
+    points = numkit.march(lambda a, b: del_step(lag, a, b, tol=tol), q0, q1, steps,
                           "del_step", dim=lag.dim)
     return Trajectory(points=points, h=lag.h), numkit.pair_series(energies or {}, points)

@@ -30,7 +30,6 @@ import numpy as np
 from . import numkit
 from .errors import DomainError
 from .lagrangian import DiscreteLagrangian, Trajectory
-from .numkit import NewtonConfig, DEFAULT_NEWTON
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,8 @@ class DiscretizationRule:
     nodes: tuple
 
     def points(self, qk, qk1):
-        return [(a * qk + b * qk1, wt) for a, b, wt in self.nodes]
+        """The node points a*qk + b*qk1 of the segment, in node order."""
+        return [a * qk + b * qk1 for a, b, _ in self.nodes]
 
 
 def midpoint_rule():
@@ -121,10 +121,6 @@ class NonholonomicSystem:
         return _node_forms(self, [np.asarray(q, dtype=float)])[0]
 
 
-def _node_points(rule, qk, qk1):
-    return [a * qk + b * qk1 for a, b, _ in rule.nodes]
-
-
 def _node_forms(system, points):
     """The constraint matrices at each of ``points`` (the node points of
     a segment), each checked to be (m, n): DomainError otherwise."""
@@ -165,7 +161,7 @@ def discrete_constraint(system: NonholonomicSystem, rule: DiscretizationRule, qk
     """The rule's discretization of the constraints on a segment."""
     qk = np.asarray(qk, dtype=float)
     qk1 = np.asarray(qk1, dtype=float)
-    ws = _node_forms(system, _node_points(rule, qk, qk1))
+    ws = _node_forms(system, rule.points(qk, qk1))
     return _constraint_at_nodes(rule, (qk1 - qk) / system.lagrangian.h, ws,
                                 np.zeros(system.n_constraints))
 
@@ -175,21 +171,21 @@ def _constraint_jacobian(system, rule, q1, q2):
     if system.constraint_grad is None:
         return numkit.fd_jacobian(
             lambda q: discrete_constraint(system, rule, q1, q), q2)
-    points = _node_points(rule, q1, q2)
+    points = rule.points(q1, q2)
     ws = _node_forms(system, points)
     return _grad_jacobian_at_nodes(system, rule, (q2 - q1) / system.lagrangian.h,
                                    points, ws, np.empty((system.n_constraints, system.dim)))
 
 
 def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
-             guess=None, cfg: NewtonConfig = DEFAULT_NEWTON):
+             guess=None, *, tol: float | None = None):
     """One constrained step: returns (q2, multipliers).
 
     The Newton unknown stacks q2 with the multipliers; the initial
     guess continues the segment linearly with zero multipliers unless
     one is supplied.  The convergence tolerance is scaled by the size
     of the incoming momentum, since the stationarity residual inherits
-    that magnitude; unless ``cfg.abs_tol`` is set it is also floored
+    that magnitude; with ``tol`` None, the default, it is also floored
     at the residual's rounding level, which grows with |q| over long
     runs (see ``numkit.newton_solve``).
 
@@ -240,27 +236,27 @@ def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
     if guess is None:
         guess = np.zeros(n + m)
         guess[:n] = 2 * q1 - q0
-    u = numkit.newton_solve(residual, guess, cfg, jacobian=jacobian,
+    u = numkit.newton_solve(residual, guess, tol=tol, jacobian=jacobian,
                             tol_scale=max(1.0, float(np.maximum.reduce(np.absolute(d2_prev)))))
     return u[:n], u[n:]
 
 
 def dla_simulate(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
-                 steps: int, energies: dict | None = None,
-                 cfg: NewtonConfig = DEFAULT_NEWTON):
+                 steps: int, energies: dict | None = None, *, tol: float | None = None):
     """March dla_step.  Returns (trajectory, energy series, multipliers).
 
     The trajectory holds steps + 2 points.  Energy functions take a
     consecutive pair and are evaluated on all steps + 1 of them; the
     multiplier array has one row per solved step.  The seed points must
     have shape (system.dim,) (DomainError).  Numerical failures are
-    wrapped in StepFailure with the step index.
+    wrapped in StepFailure with the step index.  ``tol`` is each step's
+    Newton tolerance (see ``dla_step``).
     """
     lams = np.empty((max(steps, 0), system.n_constraints))  # march rejects steps < 0
     rows = iter(lams)
 
     def step(a, b):
-        q2, lam = dla_step(system, rule, a, b, cfg=cfg)
+        q2, lam = dla_step(system, rule, a, b, tol=tol)
         next(rows)[:] = lam
         return q2
 

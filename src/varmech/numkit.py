@@ -7,16 +7,23 @@ are fixed here once:
 * finite-difference steps are relative, ``eps * max(1, |x_i|)``, with
   ``eps`` a module constant per stencil (FD_STEP_SCALE, FD2_STEP_SCALE,
   FD4_STEP_SCALE);
+* the central differences (``fd_jacobian``, ``fd_gradient``,
+  ``fd_jacobian4``, ``fd_directional4``) run in one kernel over a
+  stencil table, which rejects a non-finite difference, so a NaN at any
+  stencil point raises EvaluationError;
 * every linear system goes through one path, ``lu_solve``: LAPACK's
   partial-pivot LU plus a row-scaled conditioning test, so a singular or
   near-singular Jacobian surfaces as SingularJacobian instead of NaNs or
   a huge step, for vector and matrix right-hand sides alike;
+* whether a matrix is regular is decided by that same test
+  (``is_regular``: ``lu_solve`` accepts it against the identity), not
+  by a determinant threshold of its own;
 * every time-stepping integrator runs in ``march``, which turns a
   numerical failure (NumericsError) into StepFailure and lets any other
   exception through untouched;
-* the default Newton tolerance (``NewtonConfig.abs_tol`` left at None)
-  is floored at the residual's rounding level, which grows with the
-  size of the points;
+* the default Newton tolerance (``tol=None``) is floored at the
+  residual's rounding level, which grows with the size of the points;
+  a numeric ``tol`` is taken literally;
 * the reference ODE propagator is fixed-step classical RK4.
 
 Everything is pure and allocation-light; callers may evaluate these
@@ -25,7 +32,6 @@ routines concurrently on different points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,34 +44,24 @@ FD_STEP_SCALE = 2.0 ** -17
 # Relative step of the mixed second-difference cross stencil: about
 # mach**(1/4), the optimum for second differences rather than first ones.
 FD2_STEP_SCALE = 1.2e-4
-# Wider default for the order-4 stencil (optimum grows with stencil order).
+# Wider step for the order-4 stencil (optimum grows with stencil order).
 FD4_STEP_SCALE = 1e-3
+# Central stencils for _central: (relative step, offsets, weights,
+# denominator).  The terms are summed left to right, hi - lo and
+# -f1 + 8 f2 - 8 f3 + f4, which fixes the rounding of every difference.
+_CENTRAL2 = (FD_STEP_SCALE, (1.0, -1.0), (1.0, -1.0), 2.0)
+_CENTRAL4 = (FD4_STEP_SCALE, (2.0, 1.0, -1.0, -2.0), (-1.0, 8.0, -8.0, 1.0), 12.0)
 # Singularity threshold of lu_solve: a row-scaled condition number above
 # 1/PIVOT_FLOOR counts as singular at working precision.
 PIVOT_FLOOR = 1e-14
-# Newton residual tolerance of NewtonConfig(abs_tol=None).
+# Newton residual tolerance of newton_solve(tol=None), and its
+# iteration limit.
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 EPS = float(np.finfo(float).eps)
 # Most pairs pair_series hands to an energy monitor's ``series`` at once,
 # which bounds the temporaries of a long run.
 PAIR_CHUNK = 1024
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Newton iteration settings.
-
-    abs_tol: the residual tolerance.  None, the default, means
-        NEWTON_TOL floored at the residual's rounding level (see
-        newton_solve); a number is taken literally.
-    max_iter: the iteration limit.
-    """
-
-    abs_tol: float | None = None
-    max_iter: int = 50
-
-
-DEFAULT_NEWTON = NewtonConfig()
 
 
 _FLOAT = np.dtype(float)
@@ -84,77 +80,64 @@ def _check_finite(value, where):
         raise EvaluationError(f"non-finite value encountered {where}")
 
 
+def _central(f, x, stencil, name, direction=None):
+    """The one central-difference kernel behind the fd_* wrappers.
+
+    ``stencil`` is (relative step, offsets, weights, denominator); a
+    derivative along d at step t is sum_k w_k f(x + (o_k t) d) /
+    (denominator t), summed left to right.  Without ``direction`` the
+    result is the Jacobian, one column per coordinate i along e_i at
+    step ``scale * max(1, |x_i|)``; with it, the derivative along
+    ``direction`` at step ``scale * max(1, ||x||_inf) / ||direction||_inf``,
+    shaped like f's values.  Each finished difference must be finite, so
+    a non-finite value at any stencil point raises EvaluationError.
+    """
+    scale, offsets, weights, denom = stencil
+    x = _asvec(x)
+    if direction is None:
+        directions = np.eye(x.size)
+        steps = scale * np.maximum(1.0, np.abs(x))
+    else:
+        directions = (_asvec(direction),)
+        nd = float(np.max(np.abs(directions[0])))
+        if nd == 0.0:
+            return np.zeros_like(np.asarray(f(x), dtype=float))
+        steps = (scale * max(1.0, float(np.max(np.abs(x)))) / nd,)
+    diffs = []
+    for i, (d, t) in enumerate(zip(directions, steps)):
+        total = None
+        for o, w in zip(offsets, weights):
+            term = w * np.asarray(f(x + (o * t) * d), dtype=float)
+            total = term if total is None else total + term
+        diff = total / (denom * t)
+        if not np.all(np.isfinite(diff)):
+            raise EvaluationError(f"non-finite value in {name}, direction {i}")
+        diffs.append(diff)
+    return np.column_stack(diffs) if direction is None else diffs[0]
+
+
 def fd_jacobian(f, x):
     """Jacobian of ``f`` at ``x`` by central differences, shape (m, n)."""
-    x = _asvec(x)
-    steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = steps[i]
-        hi = _asvec(f(x + e))
-        lo = _asvec(f(x - e))
-        _check_finite(hi, f"in fd_jacobian, coordinate {i} (+)")
-        _check_finite(lo, f"in fd_jacobian, coordinate {i} (-)")
-        cols.append((hi - lo) / (2.0 * steps[i]))
-    return np.column_stack(cols)
+    return _central(f, x, _CENTRAL2, "fd_jacobian")
 
 
 def fd_gradient(f, x):
     """Gradient of a scalar function, shape (n,)."""
-    x = _asvec(x)
-    steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = steps[i]
-        hi = float(f(x + e))
-        lo = float(f(x - e))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise EvaluationError(f"non-finite value in fd_gradient, coordinate {i}")
-        g[i] = (hi - lo) / (2.0 * steps[i])
-    return g
+    return _central(lambda z: float(f(z)), x, _CENTRAL2, "fd_gradient")[0]
 
 
-def fd_jacobian4(f, x, step_scale: float = FD4_STEP_SCALE):
+def fd_jacobian4(f, x):
     """Order-4 five-point Jacobian; use where nested differencing needs
     more accuracy than the plain central stencil delivers."""
-    x = _asvec(x)
-    steps = step_scale * np.maximum(1.0, np.abs(x))
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = steps[i]
-        f1 = _asvec(f(x + 2 * e))
-        f2 = _asvec(f(x + e))
-        f3 = _asvec(f(x - e))
-        f4 = _asvec(f(x - 2 * e))
-        _check_finite(f1, f"in fd_jacobian4, coordinate {i}")
-        _check_finite(f4, f"in fd_jacobian4, coordinate {i}")
-        cols.append((-f1 + 8 * f2 - 8 * f3 + f4) / (12.0 * steps[i]))
-    return np.column_stack(cols)
+    return _central(f, x, _CENTRAL4, "fd_jacobian4")
 
 
-def fd_directional4(f, x, direction, step_scale: float = FD4_STEP_SCALE):
+def fd_directional4(f, x, direction):
     """Order-4 derivative of ``t -> f(x + t*direction)`` at t = 0.
 
     ``f`` may return an array of any shape; the result has that shape.
     """
-    x = _asvec(x)
-    d = _asvec(direction)
-    scale = max(1.0, float(np.max(np.abs(x))))
-    nd = float(np.max(np.abs(d)))
-    if nd == 0.0:
-        probe = np.asarray(f(x), dtype=float)
-        return np.zeros_like(probe)
-    t = step_scale * scale / nd
-    f1 = np.asarray(f(x + 2 * t * d), dtype=float)
-    f2 = np.asarray(f(x + t * d), dtype=float)
-    f3 = np.asarray(f(x - t * d), dtype=float)
-    f4 = np.asarray(f(x - 2 * t * d), dtype=float)
-    _check_finite(f1, "in fd_directional4")
-    _check_finite(f4, "in fd_directional4")
-    return (-f1 + 8 * f2 - 8 * f3 + f4) / (12.0 * t)
+    return _central(f, x, _CENTRAL4, "fd_directional4", direction)
 
 
 def fd_mixed_hessian(f, a, b):
@@ -225,13 +208,23 @@ def lu_solve(a, rhs):
     return x
 
 
+def is_regular(a):
+    """Whether the square matrix ``a`` is regular at working precision:
+    the package's one singularity test, ``lu_solve``'s own."""
+    try:
+        lu_solve(a, np.eye(len(a)))
+    except SingularJacobian:
+        return False
+    return True
+
+
 def _rounding_floor(jac, x):
     """A few times the rounding level of a residual with Jacobian ``jac``
     near ``x``; no tolerance below it can be met."""
     return 4.0 * EPS * float(abs(jac).sum(axis=1).max()) * max(1.0, float(abs(x).max()))
 
 
-def newton_solve(f, x0, cfg: NewtonConfig = DEFAULT_NEWTON, *,
+def newton_solve(f, x0, *, tol: float | None = None,
                  jacobian: Callable | None = None, tol_scale: float = 1.0):
     """Solve ``f(x) = 0`` from ``x0``; returns the root.
 
@@ -239,23 +232,24 @@ def newton_solve(f, x0, cfg: NewtonConfig = DEFAULT_NEWTON, *,
     central differences; it is always called at the point of the last
     residual evaluation.  Iteration stops once the largest residual
     component is at most the tolerance times ``tol_scale``, the
-    residual's natural size.  With ``cfg.abs_tol`` None the tolerance is
-    NEWTON_TOL, floored at the residual's rounding level ``4 eps
-    ||J||_inf max(1, ||x||_inf)`` with J the last Newton matrix, which
-    long integrations reach as |x| grows; the floor is only evaluated
-    when an iterate misses the plain tolerance.  A numeric
-    ``cfg.abs_tol`` is taken literally.
+    residual's natural size.  With ``tol`` None, the default, the
+    tolerance is NEWTON_TOL, floored at the residual's rounding level
+    ``4 eps ||J||_inf max(1, ||x||_inf)`` with J the last Newton matrix,
+    which long integrations reach as |x| grows; the floor is only
+    evaluated when an iterate misses the plain tolerance.  A numeric
+    ``tol`` is taken literally.
 
-    Raises EvaluationError on a non-finite residual, NoConvergence when
-    max_iter runs out and SingularJacobian when a linear solve fails.
+    Raises EvaluationError on a non-finite residual, NoConvergence after
+    NEWTON_MAX_ITER iterations and SingularJacobian when a linear solve
+    fails.
     """
-    floored = cfg.abs_tol is None
-    tol = (NEWTON_TOL if floored else cfg.abs_tol) * tol_scale
+    floored = tol is None
+    tol = (NEWTON_TOL if floored else tol) * tol_scale
     limit = tol
     x = _asvec(x0).copy()
     r = _asvec(f(x))
     best = _residual_size(r)
-    for _ in range(cfg.max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if best <= limit:
             return x
         jac = jacobian(x) if jacobian is not None else fd_jacobian(f, x)
@@ -267,9 +261,9 @@ def newton_solve(f, x0, cfg: NewtonConfig = DEFAULT_NEWTON, *,
     if best <= limit:
         return x
     raise NoConvergence(
-        f"newton_solve stalled at residual {best:.3e} after {cfg.max_iter} iterations",
+        f"newton_solve stalled at residual {best:.3e} after {NEWTON_MAX_ITER} iterations",
         residual=best,
-        iterations=cfg.max_iter,
+        iterations=NEWTON_MAX_ITER,
     )
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import numkit
 from .errors import DomainError, OffManifold
-from .numkit import NewtonConfig, DEFAULT_NEWTON
 
 
 @dataclass
@@ -89,12 +88,9 @@ class ImplicitSOdE:
         return numkit.fd_jacobian(lambda q: self(q0, q1, q), q2)
 
     def is_regular(self, q0, q1, q2):
-        m = self.C(q0, q1, q2)
-        rows = np.linalg.norm(m, axis=1)
-        bound = float(np.prod(rows))
-        if bound == 0.0:
-            return False
-        return abs(float(np.linalg.det(m))) > 1e-12 * bound
+        """Whether C is invertible at the triple, by ``numkit.is_regular``:
+        the test of the solves in ``implicit_step`` and ``tangent_basis``."""
+        return numkit.is_regular(self.C(q0, q1, q2))
 
     def require_on_manifold(self, q0, q1, q2, tol: float = 1e-8):
         res = float(np.max(np.abs(self(q0, q1, q2))))
@@ -102,18 +98,18 @@ class ImplicitSOdE:
             raise OffManifold(f"point violates phi = 0 by {res:.3e}")
 
 
-def implicit_step(eq: ImplicitSOdE, q0, q1, guess=None,
-                  cfg: NewtonConfig = DEFAULT_NEWTON):
+def implicit_step(eq: ImplicitSOdE, q0, q1, guess=None, *, tol: float | None = None):
     """Solve phi(q0, q1, .) = 0 for q2 by Newton.
 
     The default starting point is the linear predictor 2 q1 - q0, which
-    selects the solution branch connected to uniform motion.
+    selects the solution branch connected to uniform motion.  ``tol`` is
+    the Newton tolerance of ``numkit.newton_solve``.
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     if guess is None:
         guess = 2.0 * q1 - q0
-    return numkit.newton_solve(lambda q2: eq(q0, q1, q2), guess, cfg,
+    return numkit.newton_solve(lambda q2: eq(q0, q1, q2), guess, tol=tol,
                                jacobian=lambda q2: eq.C(q0, q1, q2))
 
 

@@ -250,10 +250,8 @@ def test_criterion_9_property_families_and_runtime():
         families["legendre"] += 1
 
         s = hz.canonical_omega_matrix(n)
-        tight = numkit.NewtonConfig(abs_tol=1e-13, max_iter=60)
-
-        def phase(z, lag=lag, n=n, tight=tight):
-            out = hamiltonian_map(lag, z[:n], z[n:], cfg=tight)
+        def phase(z, lag=lag, n=n):
+            out = hamiltonian_map(lag, z[:n], z[n:], tol=1e-13)
             return np.concatenate(out)
 
         z = np.concatenate([q0, -lag.D1(q0, q1)])

@@ -262,6 +262,31 @@ def test_isotropy_report_records_fiber_and_rule(tmp_path):
     assert doc["verdict"] == "fail"
 
 
+def test_check_with_nan_inside_stencil_exits_two(tmp_path, capsys, monkeypatch):
+    # an isotropic embedding made NaN at the inner order-4 stencil points
+    # of every sample: a numerical failure, not a passing verdict
+    import varmech.cli as cli
+    from varmech.helmholtz import sample_box
+
+    samples = sample_box(2, 4, seed=0)
+
+    def embedding(fiber, recurrence):
+        def embed(z):
+            gap = np.min(np.max(np.abs(samples - z), axis=1))
+            if 0.0 < gap < 1.5e-3:
+                return np.full(4, np.nan)
+            return np.concatenate([z, z])
+        return embed
+
+    monkeypatch.setattr(cli, "gamma_embedding", embedding)
+    out = tmp_path / "iso.json"
+    rc = main(["check", "isotropy", "--system", "harmonic-exact", "--points", "4",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_isotropy_on_rolling_disk_rejects_box(tmp_path, capsys):
     out = tmp_path / "iso.json"
     rc = main(["check", "isotropy", "--system", "rolling-disk", "--box", "0.1",

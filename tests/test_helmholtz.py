@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from varmech import helmholtz as hz
 from varmech import systems
-from varmech.errors import DomainError, SingularJacobian
+from varmech.errors import DomainError, EvaluationError, SingularJacobian
 from varmech.lagrangian import DiscreteLagrangian
 from varmech.sode import ExplicitSOdE, ImplicitSOdE, explicit_to_implicit, implicit_step
 
@@ -541,6 +541,38 @@ def test_check_functional_catalogue_and_perturbed_pair():
                                  fx=lambda x, y: -0.999)
     assert not tilted.verdict
     assert tilted.conditions[0].worst_point == list(pts[-1])
+
+
+def test_check_functional_rejects_nan_residual():
+    with pytest.raises(EvaluationError, match=r"functional: non-finite functional .*0\.2, 0\.3"):
+        hz.check_functional(lambda x, y: x, lambda x, y: float("nan"), [[0.2, 0.3]],
+                            fx=lambda x, y: 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+def test_check_two_form_rejects_field_nan_at_sample_point():
+    # with no vertical block the form at the point itself enters only
+    # through its size, which must still be finite
+    point = np.array([0.2, 0.3])
+    w = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    omega = hz.TwoFormField(dim=2, coeff=lambda z: np.full((2, 2), np.nan)
+                            if np.array_equal(z, point) else w)
+    with pytest.raises(EvaluationError, match="two-form: non-finite data size"):
+        hz.check_two_form(omega, [point], n_vertical=0)
+
+
+def test_check_isotropy_rejects_nan_at_inner_stencil_point():
+    # a non-isotropic embedding that is NaN only at the inner points of
+    # the order-4 stencil around the sample
+    point = np.array([0.2, 0.3])
+
+    def embed(z):
+        if 0.0 < np.max(np.abs(z - point)) < 1.5e-3:
+            return np.full(4, np.nan)
+        return np.array([z[0], z[0] * z[1], z[1], z[0] ** 2])
+
+    with pytest.raises(EvaluationError, match="fd_jacobian4"):
+        hz.check_isotropy(embed, [point])
 
 
 def test_condition_report_json_layout():

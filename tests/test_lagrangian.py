@@ -1,15 +1,11 @@
 """Discrete Lagrangian mechanics: stepping, Legendre transforms, two-form."""
 
-import dataclasses
-import pickle
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from varmech import lagrangian as lg
 from varmech.errors import DomainError, StepFailure
-from varmech.numkit import DEFAULT_NEWTON, NewtonConfig
 from varmech.systems import make_system
 
 
@@ -57,8 +53,7 @@ def test_del_step_without_analytic_derivatives():
         dim=1, h=0.1, value=lambda a, b: float((b - a) @ (b - a)) / 0.2
     )
     # finite-difference derivatives floor the residual near 1e-10
-    q2 = lg.del_step(lag, np.array([0.0]), np.array([1.0]),
-                     NewtonConfig(abs_tol=1e-8))
+    q2 = lg.del_step(lag, np.array([0.0]), np.array([1.0]), tol=1e-8)
     assert_allclose(q2, [2.0], atol=1e-7)
 
 
@@ -114,6 +109,16 @@ def test_regularity():
     flat = lg.DiscreteLagrangian(dim=1, h=0.1,
                                  value=lambda a, b: float(a[0] ** 2 + b[0] ** 2))
     assert not flat.is_regular(np.array([1.0]), np.array([2.0]))
+
+
+def test_regularity_uses_the_solve_test():
+    # D12 = [[1, 1], [1, 1 + tiny]]: condition number 4e13 is regular for
+    # the linear solves, 4e15 is not
+    for tiny, regular in ((1e-13, True), (1e-15, False)):
+        m = np.array([[1.0, 1.0], [1.0, 1.0 + tiny]])
+        lag = lg.DiscreteLagrangian(dim=2, h=0.1, value=lambda a, b: float(a @ m @ b),
+                                    d12=lambda a, b: m)
+        assert lag.is_regular(np.zeros(2), np.ones(2)) is regular
 
 
 def test_validate_catches_wrong_derivative():
@@ -213,18 +218,16 @@ def test_simulate_long_free_particle_run_completes():
 
 def test_default_tolerance_is_floored_for_every_unset_abs_tol():
     # A literal 1e-12 stalls once the residual's rounding level passes it;
-    # every config that leaves abs_tol unset, however it was made, is
-    # floored there and takes the stalled step.
+    # the default tol=None, left out or passed, is floored there and
+    # takes the stalled step.
     fp = make_system("toy-free-particle")
     with pytest.raises(StepFailure) as info:
         lg.simulate(fp.lagrangian, *fp.initial, steps=10_300,
-                    cfg=NewtonConfig(abs_tol=1e-12))
+                    tol=1e-12)
     assert info.value.step > 10_000
     q0, q1 = info.value.partial[-2:]
-    for cfg in (NewtonConfig(), NewtonConfig(max_iter=100),
-                dataclasses.replace(DEFAULT_NEWTON),
-                pickle.loads(pickle.dumps(DEFAULT_NEWTON))):
-        assert_allclose(lg.del_step(fp.lagrangian, q0, q1, cfg), 2 * q1 - q0,
+    for kwargs in ({}, {"tol": None}):
+        assert_allclose(lg.del_step(fp.lagrangian, q0, q1, **kwargs), 2 * q1 - q0,
                         rtol=1e-12)
 
 

@@ -47,8 +47,9 @@ def test_rule_points_are_convex_combinations():
     qk1 = np.array([0.0, 2.0])
     pts = rule.points(qk, qk1)
     assert len(pts) == 2
-    assert_allclose(pts[0][0], 0.75 * qk + 0.25 * qk1)
-    assert pts[0][1] == 0.5
+    assert_allclose(pts[0], 0.75 * qk + 0.25 * qk1)
+    assert_allclose(pts[1], 0.25 * qk + 0.75 * qk1)
+    assert rule.nodes[0][2] == 0.5
 
 
 def test_discrete_constraint_vanishes_on_completed_pairs():

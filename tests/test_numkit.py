@@ -51,6 +51,32 @@ def test_fd_directional4_on_matrix_valued_map():
     assert_allclose(d, [[1.0, 1.0], [0.0, 3 * 0.25]], atol=1e-10)
 
 
+def _nan_at_inner_points(x0):
+    # finite at x0 and at the outer order-4 points x0 +- 2e-3, NaN at the
+    # inner ones x0 +- 1e-3 (FD4_STEP_SCALE at |x0| < 1)
+    def f(z):
+        gap = float(np.max(np.abs(z - x0)))
+        return np.array([np.nan if 0.0 < gap < 1.5e-3 else z[0] ** 2])
+    return f
+
+
+def test_fd_jacobian4_rejects_nan_at_inner_point():
+    x0 = np.array([0.3])
+    with pytest.raises(EvaluationError, match="fd_jacobian4"):
+        numkit.fd_jacobian4(_nan_at_inner_points(x0), x0)
+
+
+def test_fd_directional4_rejects_nan_at_inner_point():
+    x0 = np.array([0.3])
+    with pytest.raises(EvaluationError, match="fd_directional4"):
+        numkit.fd_directional4(_nan_at_inner_points(x0), x0, np.array([1.0]))
+
+
+def test_fd_gradient_rejects_nonfinite_value():
+    with pytest.raises(EvaluationError, match="fd_gradient"):
+        numkit.fd_gradient(lambda z: np.inf if z[1] > 0.5 else z[0], np.array([0.2, 0.5]))
+
+
 def test_fd_mixed_hessian():
     # f(a, b) = a0^2 b0 + a1 b1^3: d2f/da db = [[2 a0, 0], [0, 3 b1^2]].
     f = lambda a, b: a[0] ** 2 * b[0] + a[1] * b[1] ** 3
@@ -72,6 +98,20 @@ def test_lu_solve_matches_numpy():
     a = rng.normal(size=(5, 5)) + 5 * np.eye(5)
     b = rng.normal(size=5)
     assert_allclose(numkit.lu_solve(a, b), np.linalg.solve(a, b), atol=1e-12)
+
+
+def test_is_regular_is_lu_solves_test():
+    # condition number 4e13: under lu_solve's 1e14 limit, so regular
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+    assert numkit.is_regular(near)
+    assert np.all(np.isfinite(numkit.lu_solve(near, np.array([1.0, 0.0]))))
+    # condition number 4e15: singular at working precision for both
+    nearer = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    assert not numkit.is_regular(nearer)
+    with pytest.raises(SingularJacobian):
+        numkit.lu_solve(nearer, np.array([1.0, 0.0]))
+    assert not numkit.is_regular(np.zeros((2, 2)))
+    assert numkit.is_regular(np.diag([1.0, 1e-30]))  # row scaling: regular
 
 
 def test_lu_solve_needs_pivoting():
@@ -180,8 +220,7 @@ def test_pair_series_uses_series_method_in_chunks():
 
 
 def test_newton_sqrt2():
-    cfg = numkit.NewtonConfig()
-    root = numkit.newton_solve(lambda x: np.array([x[0] ** 2 - 2.0]), np.array([1.0]), cfg)
+    root = numkit.newton_solve(lambda x: np.array([x[0] ** 2 - 2.0]), np.array([1.0]))
     assert_allclose(root[0], np.sqrt(2.0), atol=1e-12)
 
 
@@ -223,9 +262,8 @@ def test_newton_tol_scale_multiplies_tolerance():
     def f(x):
         return np.array([x[0] - 1e-9])
 
-    cfg = numkit.NewtonConfig(abs_tol=1e-12)
-    assert numkit.newton_solve(f, np.array([0.0]), cfg, tol_scale=1e4)[0] == 0.0
-    assert numkit.newton_solve(f, np.array([0.0]), cfg)[0] == 1e-9
+    assert numkit.newton_solve(f, np.array([0.0]), tol=1e-12, tol_scale=1e4)[0] == 0.0
+    assert numkit.newton_solve(f, np.array([0.0]), tol=1e-12)[0] == 1e-9
 
 
 def test_newton_no_real_root_raises():

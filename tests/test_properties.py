@@ -81,10 +81,8 @@ def test_phase_space_map_is_symplectic(name):
     lag = catalogue_lagrangian(name)
     n = lag.dim
     s = hz.canonical_omega_matrix(n)
-    tight = numkit.NewtonConfig(abs_tol=1e-13, max_iter=60)
-
     def phase(z):
-        q1, p1 = hamiltonian_map(lag, z[:n], z[n:], cfg=tight)
+        q1, p1 = hamiltonian_map(lag, z[:n], z[n:], tol=1e-13)
         return np.concatenate([q1, p1])
 
     rng = np.random.default_rng(31)

@@ -50,6 +50,24 @@ def test_implicit_regularity():
     assert not flat.is_regular(np.zeros(1), np.zeros(1), np.zeros(1))
 
 
+@pytest.mark.parametrize("tiny, regular", [(1e-13, True), (1e-15, False)])
+def test_implicit_regularity_agrees_with_the_step(tiny, regular):
+    # phi = C q2 + q0 with C = [[1, 1], [1, 1 + tiny]] (condition number
+    # 4e13 or 4e15): the triple is regular where implicit_step solves
+    # C q2 = -q0 along C's near-null direction, and only there
+    cmat = np.array([[1.0, 1.0], [1.0, 1.0 + tiny]])
+    eq = sode.ImplicitSOdE(dim=2, phi=lambda a, b, c: cmat @ c + a,
+                           c=lambda a, b, c: cmat)
+    q0, q1 = np.array([1.0, 0.0]), np.zeros(2)
+    assert eq.is_regular(q0, q1, q1) is regular
+    if regular:
+        q2 = sode.implicit_step(eq, q0, q1)
+        assert np.max(np.abs(eq(q0, q1, q2))) <= 1e-12 * np.max(np.abs(q2))
+    else:
+        with pytest.raises(SingularJacobian):
+            sode.implicit_step(eq, q0, q1)
+
+
 def test_tangent_basis_uniform_recurrence():
     # phi = q2 - 2 q1 + q0: A = d/dq0 - d/dq2, B = d/dq1 + 2 d/dq2.
     eq = sode.ImplicitSOdE(dim=1, phi=lambda a, b, c: c - 2 * b + a)
