@@ -1,17 +1,21 @@
 """Command-line front end: trajectory runs and variationality checks.
 
-Two subcommands share one flat configuration schema.  ``simulate``
-integrates a built-in system and writes a CSV trajectory; ``check``
-runs one of the sampled variationality tests and writes a JSON report.
+Two subcommands share one flat configuration schema, the ``OPTIONS``
+table: each run option's flag, config-file key, cast, range rule and
+help are stated there once.  ``simulate`` integrates a built-in system
+and writes a CSV trajectory; ``check`` runs one of the sampled
+variationality tests and writes a JSON report.
 
     varmech simulate --system rolling-disk --rule alpha:0.25 \
         --steps 200 --out disk.csv
     varmech check isotropy --system rolling-disk --fiber doubled-rate
 
 Options may come from a ``key=value`` config file (``--config``), with
-command-line flags taking precedence.  Unknown keys are rejected.
-Output files are written atomically (temp file plus rename) and a rerun
-with identical configuration produces byte-identical output.
+command-line flags taking precedence.  Unknown keys are rejected, and
+file values pass the same casts and range checks as flags; a
+non-finite number is a configuration error.  Output files are written
+atomically (temp file plus rename) and a rerun with identical
+configuration produces byte-identical output.
 
 Exit codes: 0 success (check verdict pass), 1 configuration error,
 2 solver failure during a run, 3 check verdict fail (the report is
@@ -21,10 +25,10 @@ still written).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,74 +53,49 @@ DEFAULT_POINTS = 32
 # configuration
 
 
-def _cast_str(key, text):
-    return str(text)
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
-def _cast_float(key, text):
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} expects a number, got {text!r}") from None
+def _finite_vector(text):
+    return np.array([_finite(part) for part in text.split(",")])
 
 
-def _cast_int(key, text):
-    try:
-        return int(str(text).strip())
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} expects an integer, got {text!r}") from None
+# Cast kinds, (cast raising ValueError on bad text, what it expects),
+# and the range rule, (predicate, complaint), shared by several options.
+_TEXT = (str, None)
+_INTEGER = (int, "an integer")
+_NUMBER = (_finite, "a finite number")
+_VECTOR = (_finite_vector, "comma-separated numbers")
+_POSITIVE = (lambda value: value > 0.0, "must be positive")
 
-
-def _cast_vector(key, text):
-    parts = [p.strip() for p in str(text).split(",")]
-    if any(p == "" for p in parts):
-        raise ConfigError(f"{key} expects comma-separated numbers, got {text!r}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError:
-        raise ConfigError(f"{key} expects comma-separated numbers, got {text!r}") from None
-
-
-_CASTERS = {
-    "system": _cast_str,
-    "rule": _cast_str,
-    "h": _cast_float,
-    "steps": _cast_int,
-    "dim": _cast_int,
-    "gauge": _cast_float,
-    "q0": _cast_vector,
-    "q1": _cast_vector,
-    "fiber": _cast_str,
-    "tol": _cast_float,
-    "points": _cast_int,
-    "box": _cast_float,
-    "seed": _cast_int,
-    "out": _cast_str,
+# The one schema of run options: each row gives the --flag and config
+# key, then the argparse metavar, the cast kind, the range rule and the
+# help.  Options a command does not use are ignored, so one config file
+# can drive a simulation and the checks on one system.
+OPTIONS = {
+    "system": ("NAME", _TEXT, None, "built-in system: " + ", ".join(system_names())),
+    "rule": ("RULE", _TEXT, None, "constraint rule for rolling-disk: midpoint, "
+                                  "trapezoidal, alpha:<x>, euler-a, euler-b"),
+    "h": ("H", _NUMBER, _POSITIVE, "time step override"),
+    "steps": ("N", _INTEGER, (lambda n: n >= 0, "must be nonnegative"),
+              f"number of steps to integrate (default {DEFAULT_STEPS})"),
+    "dim": ("D", _INTEGER, None, "dimension override (toy-free-particle)"),
+    "gauge": ("G", _NUMBER, None, "boundary-term coefficient (backward-error)"),
+    "q0": ("V", _VECTOR, None, "first point, comma-separated components"),
+    "q1": ("V", _VECTOR, None, "second point, comma-separated components"),
+    "fiber": ("NAME", _TEXT, None, "momentum map for rolling-disk isotropy: "
+                                   "doubled-rate, doubled-increment, turn-ratio"),
+    "tol": ("T", _NUMBER, _POSITIVE, "tolerance: Newton for simulate, verdict for check"),
+    "points": ("N", _INTEGER, (lambda n: n >= 1, "must be at least 1"),
+               f"sample count for checks (default {DEFAULT_POINTS})"),
+    "box": ("B", _NUMBER, _POSITIVE, "half-width of the sampling box (default 1)"),
+    "seed": ("S", _INTEGER, None, "sampling seed (default 0)"),
+    "out": ("FILE", _TEXT, None, "output path (default: stdout); written atomically"),
 }
-
-
-@dataclass
-class RunConfig:
-    """One flat bag of run settings shared by both subcommands.
-
-    Fields a given command does not use are simply ignored, so the same
-    config file can drive a simulation and the checks on one system.
-    """
-
-    system: str | None = None
-    rule: str | None = None
-    h: float | None = None
-    steps: int | None = None
-    dim: int | None = None
-    gauge: float | None = None
-    q0: np.ndarray | None = None
-    q1: np.ndarray | None = None
-    fiber: str | None = None
-    tol: float | None = None
-    points: int | None = None
-    box: float | None = None
-    seed: int | None = None
-    out: str | None = None
 
 
 def parse_config_file(path: str) -> dict:
@@ -136,7 +115,7 @@ def parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CASTERS:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in data:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -144,43 +123,32 @@ def parse_config_file(path: str) -> dict:
     return data
 
 
-def load_config(ns: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, then explicit flags; cast and check."""
-    raw = {}
-    if getattr(ns, "config", None) is not None:
-        raw.update(parse_config_file(ns.config))
-    for key in _CASTERS:
-        value = getattr(ns, key, None)
-        if value is not None:
-            raw[key] = value
-    values = {key: _CASTERS[key](key, text) for key, text in raw.items()}
-    cfg = RunConfig(**values)
-
-    if cfg.system is None:
+def load_config(ns: argparse.Namespace) -> argparse.Namespace:
+    """Merge the config file, then explicit flags, into one namespace
+    with an attribute per option (None where given nowhere); cast and
+    check each value by its ``OPTIONS`` row."""
+    raw = {} if ns.config is None else parse_config_file(ns.config)
+    raw.update((key, getattr(ns, key)) for key in OPTIONS if getattr(ns, key) is not None)
+    values = {}
+    for key, text in raw.items():
+        cast, expects = OPTIONS[key][1]
+        try:
+            values[key] = cast(text)
+        except ValueError:
+            raise ConfigError(f"{key} expects {expects}, got {text!r}") from None
+    if "system" not in values:
         raise ConfigError("system is required (--system or system= in a config file)")
-    if cfg.h is not None and not cfg.h > 0.0:
-        raise ConfigError(f"h must be positive, got {cfg.h}")
-    if cfg.steps is not None and cfg.steps < 0:
-        raise ConfigError(f"steps must be nonnegative, got {cfg.steps}")
-    if cfg.points is not None and cfg.points < 1:
-        raise ConfigError(f"points must be at least 1, got {cfg.points}")
-    if cfg.box is not None and not cfg.box > 0.0:
-        raise ConfigError(f"box must be positive, got {cfg.box}")
-    if cfg.tol is not None and not cfg.tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol}")
-    return cfg
+    for key, (_, _, rule, _) in OPTIONS.items():
+        if rule is not None and key in values and not rule[0](values[key]):
+            raise ConfigError(f"{key} {rule[1]}, got {values[key]}")
+    return argparse.Namespace(**{key: values.get(key) for key in OPTIONS})
 
 
-def build_bundle(cfg: RunConfig):
+def build_bundle(cfg: argparse.Namespace):
     """Instantiate the requested system, folding builder complaints
     (unknown name, rejected or out-of-range parameters) into ConfigError."""
-    params = {}
-    if cfg.h is not None:
-        params["h"] = cfg.h
-    if cfg.dim is not None:
-        params["dim"] = cfg.dim
-    if cfg.gauge is not None:
-        params["gauge"] = cfg.gauge
+    params = {key: getattr(cfg, key) for key in ("h", "dim", "gauge")
+              if getattr(cfg, key) is not None}
     try:
         return make_system(cfg.system, **params)
     except UnknownSystem as exc:
@@ -258,75 +226,52 @@ def render_csv(coords, energy_funcs, points, failed_at=None) -> str:
 # simulate
 
 
-def _initial_pair(cfg: RunConfig, default, dim: int):
-    if (cfg.q0 is None) != (cfg.q1 is None):
-        raise ConfigError("q0 and q1 must be given together")
-    if cfg.q0 is None:
-        return default
-    if cfg.q0.shape != (dim,) or cfg.q1.shape != (dim,):
-        raise ConfigError(f"q0 and q1 must have {dim} components for this system")
-    return cfg.q0, cfg.q1
-
-
-@dataclass
-class _SimulationPlan:
-    coords: tuple
-    energy_funcs: dict
-    run: object
-
-
-def plan_simulation(cfg: RunConfig, bundle) -> _SimulationPlan:
+def cmd_simulate(cfg: argparse.Namespace, bundle) -> int:
+    """Each simulable system type picks its stepper and default seed
+    pair; the seed check, the CSV and the partial CSV of a failed run
+    are shared."""
     steps = DEFAULT_STEPS if cfg.steps is None else cfg.steps
-
     if isinstance(bundle, RollingDisk):
         rule = _resolve_rule(cfg.rule or "midpoint")
-        q0, q1 = _initial_pair(cfg, bundle.initial_pair(rule), bundle.dim)
+        pair = bundle.initial_pair(rule)
 
-        def run():
-            traj, _, _ = dla_simulate(bundle.system, rule, q0, q1, steps, tol=cfg.tol)
-            return traj.points
-
-        return _SimulationPlan(bundle.coord_names(), bundle.energies, run)
-
-    if cfg.rule is not None:
+        def run(q0, q1):
+            return dla_simulate(bundle.system, rule, q0, q1, steps, tol=cfg.tol)[0]
+    elif cfg.rule is not None:
         raise ConfigError("rule only applies to the rolling-disk system")
+    elif isinstance(bundle, VariationalSystem):
+        pair = bundle.initial
 
-    if isinstance(bundle, VariationalSystem):
-        q0, q1 = _initial_pair(cfg, bundle.initial, bundle.dim)
+        def run(q0, q1):
+            return lagrangian_simulate(bundle.lagrangian, q0, q1, steps, tol=cfg.tol)[0]
+    elif isinstance(bundle, ImplicitRecurrenceSystem):
+        pair = bundle.initial
 
-        def run():
-            traj, _ = lagrangian_simulate(bundle.lagrangian, q0, q1, steps, tol=cfg.tol)
-            return traj.points
-
-        return _SimulationPlan(bundle.coord_names(), bundle.energies, run)
-
-    if isinstance(bundle, ImplicitRecurrenceSystem):
-        q0, q1 = _initial_pair(cfg, bundle.initial, bundle.dim)
-        equation = bundle.equation
-
-        def run():
-            return march(lambda a, b: implicit_step(equation, a, b, tol=cfg.tol),
+        def run(q0, q1):
+            return march(lambda a, b: implicit_step(bundle.equation, a, b, tol=cfg.tol),
                          q0, q1, steps, "implicit step")
+    else:
+        simulable = ("toy-free-particle, harmonic-exact, backward-error, rolling-disk, "
+                     "exp-recurrence")
+        raise ConfigError(
+            f"system {cfg.system!r} has no time stepper; simulable systems: {simulable}")
 
-        return _SimulationPlan(bundle.coord_names(), bundle.energies, run)
-
-    simulable = "toy-free-particle, harmonic-exact, backward-error, rolling-disk, exp-recurrence"
-    raise ConfigError(
-        f"system {cfg.system!r} has no time stepper; simulable systems: {simulable}")
-
-
-def cmd_simulate(cfg: RunConfig, bundle) -> int:
-    plan = plan_simulation(cfg, bundle)
+    if (cfg.q0 is None) != (cfg.q1 is None):
+        raise ConfigError("q0 and q1 must be given together")
+    if cfg.q0 is not None:
+        if cfg.q0.shape != (bundle.dim,) or cfg.q1.shape != (bundle.dim,):
+            raise ConfigError(f"q0 and q1 must have {bundle.dim} components for this system")
+        pair = cfg.q0, cfg.q1
+    coords = bundle.coord_names()
     try:
-        points = plan.run()
+        points = run(*pair)
     except StepFailure as exc:
         if exc.partial is not None:
-            text = render_csv(plan.coords, plan.energy_funcs, exc.partial,
-                              failed_at=exc.step)
-            _emit(cfg.out, text)
+            _emit(cfg.out, render_csv(coords, bundle.energies, exc.partial,
+                                      failed_at=exc.step))
         print(f"simulate: {exc}", file=sys.stderr)
         return 2
-    _emit(cfg.out, render_csv(plan.coords, plan.energy_funcs, points))
+    _emit(cfg.out, render_csv(coords, bundle.energies, points))
     return 0
 
 
@@ -334,14 +279,14 @@ def cmd_simulate(cfg: RunConfig, bundle) -> int:
 # check
 
 
-def _box_samples(cfg: RunConfig, bundle, params: dict):
+def _box_samples(cfg: argparse.Namespace, bundle, params: dict):
     """Pair points in the sampling box; records box and h in params."""
     box = cfg.box if cfg.box is not None else 1.0
     params.update(box=box, h=bundle.h)
     return sample_box(2 * bundle.dim, params["points"], box=box, seed=params["seed"])
 
 
-def _check_dhc_explicit(cfg: RunConfig, bundle, params: dict):
+def _check_dhc_explicit(cfg: argparse.Namespace, bundle, params: dict):
     if not isinstance(bundle, VariationalSystem):
         raise ConfigError(
             f"dhc-explicit needs a system with an explicit recurrence and a "
@@ -351,7 +296,7 @@ def _check_dhc_explicit(cfg: RunConfig, bundle, params: dict):
                               tol=params["tol"], system=bundle.name, params=params)
 
 
-def _check_dhc_implicit(cfg: RunConfig, bundle, params: dict):
+def _check_dhc_implicit(cfg: argparse.Namespace, bundle, params: dict):
     if isinstance(bundle, ImplicitRecurrenceSystem):
         fiber, equation = bundle.fiber, bundle.equation
     elif isinstance(bundle, VariationalSystem):
@@ -365,7 +310,7 @@ def _check_dhc_implicit(cfg: RunConfig, bundle, params: dict):
                               system=bundle.name, params=params)
 
 
-def _check_isotropy(cfg: RunConfig, bundle, params: dict):
+def _check_isotropy(cfg: argparse.Namespace, bundle, params: dict):
     if isinstance(bundle, RollingDisk):
         if cfg.box is not None:
             raise ConfigError(
@@ -395,14 +340,14 @@ def _check_isotropy(cfg: RunConfig, bundle, params: dict):
         f"does not provide one")
 
 
-def _require_force_system(cfg: RunConfig, bundle, which: str):
+def _require_force_system(cfg: argparse.Namespace, bundle, which: str):
     if not isinstance(bundle, ImplicitForceSystem):
         raise ConfigError(
             f"{which} needs a continuous force system such as implicit-exp; "
             f"got {cfg.system!r}")
 
 
-def _check_chc(cfg: RunConfig, bundle, params: dict):
+def _check_chc(cfg: argparse.Namespace, bundle, params: dict):
     _require_force_system(cfg, bundle, "chc")
     # chc runs on the system's fixed jets: no points or seed to record
     params = {"tol": params["tol"], "jets": len(bundle.jets)}
@@ -410,7 +355,7 @@ def _check_chc(cfg: RunConfig, bundle, params: dict):
                      system=bundle.name, params=params)
 
 
-def _check_ihc(cfg: RunConfig, bundle, params: dict):
+def _check_ihc(cfg: argparse.Namespace, bundle, params: dict):
     _require_force_system(cfg, bundle, "ihc")
     if cfg.box is not None:
         probes = bundle.probes(params["points"], seed=params["seed"], box=cfg.box)
@@ -421,7 +366,7 @@ def _check_ihc(cfg: RunConfig, bundle, params: dict):
                      system=bundle.name, params=params)
 
 
-def _check_two_form(cfg: RunConfig, bundle, params: dict):
+def _check_two_form(cfg: argparse.Namespace, bundle, params: dict):
     if isinstance(bundle, VariationalSystem):
         omega, name = bundle.two_form(), bundle.name
     elif isinstance(bundle, DiscreteLagrangian):
@@ -447,7 +392,7 @@ CHECKS = {
 }
 
 
-def cmd_check(cfg: RunConfig, which: str, bundle) -> int:
+def cmd_check(cfg: argparse.Namespace, which: str, bundle) -> int:
     default_tol, build_report = CHECKS[which]
     params = {"tol": cfg.tol if cfg.tol is not None else default_tol,
               "points": cfg.points if cfg.points is not None else DEFAULT_POINTS,
@@ -473,35 +418,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="flat key=value config file; flags override it")
-    parser.add_argument("--system", metavar="NAME",
-                        help="built-in system: " + ", ".join(system_names()))
-    parser.add_argument("--rule", metavar="RULE",
-                        help="constraint rule for rolling-disk: midpoint, "
-                             "trapezoidal, alpha:<x>, euler-a, euler-b")
-    parser.add_argument("--h", metavar="H", help="time step override")
-    parser.add_argument("--steps", metavar="N",
-                        help=f"number of steps to integrate (default {DEFAULT_STEPS})")
-    parser.add_argument("--dim", metavar="D",
-                        help="dimension override (toy-free-particle)")
-    parser.add_argument("--gauge", metavar="G",
-                        help="boundary-term coefficient (backward-error)")
-    parser.add_argument("--q0", metavar="V",
-                        help="first point, comma-separated components")
-    parser.add_argument("--q1", metavar="V",
-                        help="second point, comma-separated components")
-    parser.add_argument("--fiber", metavar="NAME",
-                        help="momentum map for rolling-disk isotropy: "
-                             "doubled-rate, doubled-increment, turn-ratio")
-    parser.add_argument("--tol", metavar="T",
-                        help="tolerance: Newton for simulate, verdict for check")
-    parser.add_argument("--points", metavar="N",
-                        help=f"sample count for checks (default {DEFAULT_POINTS})")
-    parser.add_argument("--box", metavar="B",
-                        help="half-width of the sampling box (default 1)")
-    parser.add_argument("--seed", metavar="S",
-                        help="sampling seed (default 0)")
-    parser.add_argument("--out", metavar="FILE",
-                        help="output path (default: stdout); written atomically")
+    for key, (metavar, _, _, text) in OPTIONS.items():
+        parser.add_argument("--" + key, metavar=metavar, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -136,30 +136,6 @@ class DiscreteLagrangian:
         )
 
 
-@dataclass
-class Trajectory:
-    """A discrete path: points has shape (N, dim) with N >= 2."""
-
-    points: np.ndarray
-    h: float
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[0] < 2:
-            raise DomainError("a trajectory needs at least two points")
-
-    def __len__(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def pairs(self):
-        """Consecutive point pairs, shape (N-1, 2, dim)."""
-        return np.stack([self.points[:-1], self.points[1:]], axis=1)
-
-
 def del_residual(lag: DiscreteLagrangian, q0, q1, q2):
     """Stationarity residual D1 L(q1, q2) + D2 L(q0, q1)."""
     return lag.D1(q1, q2) + lag.D2(q0, q1)
@@ -230,8 +206,8 @@ def simulate(lag: DiscreteLagrangian, q0, q1, steps: int,
              energies: dict[str, Callable] | None = None, *, tol: float | None = None):
     """March del_step from the seed pair (q0, q1).
 
-    Returns (Trajectory, energy dict); the trajectory has steps + 2
-    points and each energy series one value per consecutive pair.  The
+    Returns (points, energy dict): points has shape (steps + 2, dim)
+    and each energy series one value per consecutive pair.  The
     seed points must have shape (lag.dim,) (DomainError).  A
     numerical failure in a step raises StepFailure carrying the step
     index; other exceptions propagate unchanged.  ``tol`` is each
@@ -239,4 +215,4 @@ def simulate(lag: DiscreteLagrangian, q0, q1, steps: int,
     """
     points = numkit.march(lambda a, b: del_step(lag, a, b, tol=tol), q0, q1, steps,
                           "del_step", dim=lag.dim)
-    return Trajectory(points=points, h=lag.h), numkit.pair_series(energies or {}, points)
+    return points, numkit.pair_series(energies or {}, points)

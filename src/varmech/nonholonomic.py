@@ -29,7 +29,7 @@ import numpy as np
 
 from . import numkit
 from .errors import DomainError
-from .lagrangian import DiscreteLagrangian, Trajectory
+from .lagrangian import DiscreteLagrangian
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,9 @@ def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
 
 def dla_simulate(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
                  steps: int, energies: dict | None = None, *, tol: float | None = None):
-    """March dla_step.  Returns (trajectory, energy series, multipliers).
+    """March dla_step.  Returns (points, energy series, multipliers).
 
-    The trajectory holds steps + 2 points.  Energy functions take a
+    points has shape (steps + 2, dim).  Energy functions take a
     consecutive pair and are evaluated on all steps + 1 of them; the
     multiplier array has one row per solved step.  The seed points must
     have shape (system.dim,) (DomainError).  Numerical failures are
@@ -261,8 +261,7 @@ def dla_simulate(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
         return q2
 
     points = numkit.march(step, q0, q1, steps, "constrained step", dim=system.dim)
-    return (Trajectory(points=points, h=system.lagrangian.h),
-            numkit.pair_series(energies or {}, points), lams)
+    return points, numkit.pair_series(energies or {}, points), lams
 
 
 @dataclass(frozen=True)

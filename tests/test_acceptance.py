@@ -31,8 +31,7 @@ def test_criterion_1_toy_affine_del_and_explicit_helmholtz():
     start = time.perf_counter()
     toy = make_system("toy-free-particle")
     q0, q1 = toy.initial
-    traj, _ = del_simulate(toy.lagrangian, q0, q1, 1000)
-    pts = traj.points
+    pts, _ = del_simulate(toy.lagrangian, q0, q1, 1000)
     affine = q0 + np.arange(1002)[:, None] * (q1 - q0)
     worst_affine = float(np.max(np.abs(pts - affine)))
     worst_del = max(
@@ -64,8 +63,8 @@ def test_criterion_2_harmonic_exactness_and_recursion_operator():
         worst_flow = max(worst_flow, abs(got - (2.0 * math.cos(h) * x1 - x0)))
     assert worst_flow < 1e-8
 
-    traj, _ = del_simulate(osc.lagrangian, *osc.initial, 10_000)
-    x = traj.points[:, 0]
+    points, _ = del_simulate(osc.lagrangian, *osc.initial, 10_000)
+    x = points[:, 0]
     quad = x[:-1] ** 2 - 2.0 * math.cos(h) * x[:-1] * x[1:] + x[1:] ** 2
     drift_quad = float(np.ptp(quad) / abs(np.mean(quad)))
     assert drift_quad < 1e-10

@@ -31,9 +31,9 @@ def test_simulate_matches_library_run_bit_exactly(tmp_path):
     assert len(rows) == 10
 
     bundle = make_system("harmonic-exact")
-    traj, _ = lagrangian_simulate(bundle.lagrangian, *bundle.initial, 7)
+    points, _ = lagrangian_simulate(bundle.lagrangian, *bundle.initial, 7)
     parsed = np.array([[float(row[1])] for row in rows[1:]])
-    assert np.array_equal(parsed, traj.points)
+    assert np.array_equal(parsed, points)
     # energy cells cover every pair, and the final row leaves them blank
     assert all(row[2] != "" for row in rows[1:-1])
     assert rows[-1][2] == ""
@@ -86,9 +86,9 @@ def test_disk_csv_round_trips_exact_floats(tmp_path):
 
     disk = make_system("rolling-disk")
     rule = rule_from_spec("midpoint")
-    traj, _, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 30)
+    points, _, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 30)
     parsed = np.array([[float(v) for v in row[1:5]] for row in rows[1:]])
-    assert np.array_equal(parsed, traj.points)
+    assert np.array_equal(parsed, points)
 
 
 def reference_csv(coords, energy_funcs, points, failed_at=None):
@@ -136,9 +136,9 @@ def test_render_csv_matches_per_cell_writer(rows, failed_at):
 def test_render_csv_matches_per_cell_writer_on_disk_run():
     disk = make_system("rolling-disk")
     rule = rule_from_spec("euler-b")
-    traj, _, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 2500)
-    text = render_csv(disk.coord_names(), disk.energies, traj.points)
-    assert text == reference_csv(disk.coord_names(), disk.energies, traj.points)
+    points, _, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 2500)
+    text = render_csv(disk.coord_names(), disk.energies, points)
+    assert text == reference_csv(disk.coord_names(), disk.energies, points)
     assert text.splitlines()[-1].endswith(",,,")
 
 
@@ -185,6 +185,12 @@ def test_config_file_rejections(tmp_path, capsys):
     ["check", "dhc-explicit", "--system", "implicit-exp"],
     ["check", "isotropy", "--system", "rolling-disk", "--fiber", "nonsense"],
     ["check", "two-form", "--system", "implicit-exp"],
+    # non-finite numbers are configuration errors
+    ["simulate", "--system", "rolling-disk", "--steps", "3", "--tol", "inf"],
+    ["check", "isotropy", "--system", "rolling-disk", "--fiber", "turn-ratio", "--tol", "inf"],
+    ["simulate", "--system", "rolling-disk", "--h", "inf"],
+    ["check", "dhc-explicit", "--system", "toy-free-particle", "--box", "inf"],
+    ["simulate", "--system", "rolling-disk", "--q0", "nan,0,0,0", "--q1", "0,0,0,0"],
 ])
 def test_config_errors_exit_one(args, tmp_path, capsys):
     out = tmp_path / "never.txt"
@@ -192,6 +198,21 @@ def test_config_errors_exit_one(args, tmp_path, capsys):
     assert rc == 1
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("h", "0"), ("steps", "-1"), ("points", "0"), ("box", "inf"), ("tol", "nan"),
+    ("seed", "1.5"), ("dim", "two"), ("q0", "1,,2"),
+])
+def test_config_file_values_are_cast_and_checked_like_flags(key, value, tmp_path, capsys):
+    args = ["simulate", "--system", "toy-free-particle"]
+    assert main(args + [f"--{key}={value}"]) == 1
+    from_flag = capsys.readouterr().err
+    assert from_flag.startswith(f"config error: {key} ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == from_flag
 
 
 def test_usage_errors_exit_one():

@@ -402,6 +402,47 @@ def test_check_dhc_explicit_report_fails_with_worst_point():
     assert len(by_name["dHC1"].worst_point) == 4
 
 
+def _linear_dhc_case(p, q, a, b):
+    """F = P q0 + Q q1 along q2 = A q1 + B q0, with the exact dHC1-3
+    residuals, which are constant: antisym(P), Q + (Q B)^T, antisym(Q A)."""
+    n = len(p)
+    fiber = hz.FiberMap(dim=n, func=lambda q0, q1: p @ q0 + q @ q1)
+    eq = ExplicitSOdE(dim=n, gamma=lambda q0, q1: a @ q1 + b @ q0)
+    exact = [0.5 * (p - p.T), q + (q @ b).T, 0.5 * (q @ a - (q @ a).T)]
+    return fiber, eq, [float(np.max(np.abs(r))) for r in exact]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_dhc_explicit_passes_every_quadratic_lagrangian(n):
+    # L = q0'S0 q0/2 + q0'K q1 + q1'S1 q1/2: F = -D1 L = -S0 q0 - K q1 and
+    # the discrete Euler-Lagrange equation S0 q1 + K q2 + K'q0 + S1 q1 = 0
+    rng = np.random.default_rng(100 + n)
+    s0, s1 = (m + m.T for m in rng.normal(size=(2, n, n)))
+    k = rng.normal(size=(n, n)) + n * np.eye(n)
+    k_inv = np.linalg.inv(k)
+    fiber, eq, exact = _linear_dhc_case(-s0, -k, -k_inv @ (s0 + s1), -k_inv @ k.T)
+    assert max(exact) < 1e-12
+    report = hz.check_dhc_explicit(fiber, eq, hz.sample_box(2 * n, 8, seed=n), tol=1e-8)
+    assert report.verdict
+    assert max(c.max_residual for c in report.conditions) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("tol", [1e-8, 1.0])
+def test_check_dhc_explicit_matches_exact_linear_residuals(n, tol):
+    rng = np.random.default_rng(200 + n)
+    p, q, a, b = rng.normal(size=(4, n, n))
+    fiber, eq, exact = _linear_dhc_case(p, q, a, b)
+    report = hz.check_dhc_explicit(fiber, eq, hz.sample_box(2 * n, 8, seed=n), tol=tol)
+    eff = tol * max(1.0, np.max(np.abs(p)), np.max(np.abs(q)))
+    for cond, want in zip(report.conditions, exact):
+        assert abs(want - eff) > 1e-9  # no verdict within the residual's error
+        assert abs(cond.max_residual - want) <= 1e-9
+        assert cond.tol == pytest.approx(eff, rel=1e-9)
+        assert cond.passed == (want <= eff)
+    assert report.verdict == all(want <= eff for want in exact)
+
+
 def test_check_dhc_implicit_report():
     eq = ImplicitSOdE(dim=1,
                       phi=lambda q0, q1, q2: np.exp(q2 - 2 * q1 + q0) - 1.0,

@@ -161,10 +161,10 @@ def test_scaled_lagrangian_same_dynamics():
 
 def test_simulate_kinetic_affine():
     lag = kinetic_lagrangian(1, 0.1)
-    traj, _ = lg.simulate(lag, np.array([0.0]), np.array([0.1]), steps=50)
-    assert len(traj) == 52
+    points, _ = lg.simulate(lag, np.array([0.0]), np.array([0.1]), steps=50)
+    assert len(points) == 52
     k = np.arange(52)
-    assert_allclose(traj.points[:, 0], 0.1 * k, atol=1e-9)
+    assert_allclose(points[:, 0], 0.1 * k, atol=1e-9)
 
 
 def test_simulate_energy_series():
@@ -211,9 +211,9 @@ def test_simulate_long_free_particle_run_completes():
     # |q| / h, exceeds the plain 1e-12 tolerance; the default tolerance
     # is floored there, so the run must finish and stay affine.
     fp = make_system("toy-free-particle")
-    traj, _ = lg.simulate(fp.lagrangian, *fp.initial, steps=10_300)
-    k = np.arange(len(traj))[:, None]
-    assert_allclose(traj.points, k * fp.initial[1], rtol=1e-9)
+    points, _ = lg.simulate(fp.lagrangian, *fp.initial, steps=10_300)
+    k = np.arange(len(points))[:, None]
+    assert_allclose(points, k * fp.initial[1], rtol=1e-9)
 
 
 def test_default_tolerance_is_floored_for_every_unset_abs_tol():
@@ -229,15 +229,6 @@ def test_default_tolerance_is_floored_for_every_unset_abs_tol():
     for kwargs in ({}, {"tol": None}):
         assert_allclose(lg.del_step(fp.lagrangian, q0, q1, **kwargs), 2 * q1 - q0,
                         rtol=1e-12)
-
-
-def test_trajectory_pairs_and_validation():
-    traj = lg.Trajectory(points=np.array([[0.0], [1.0], [2.0]]), h=0.1)
-    pairs = traj.pairs()
-    assert pairs.shape == (2, 2, 1)
-    assert_allclose(pairs[1], [[1.0], [2.0]])
-    with pytest.raises(DomainError):
-        lg.Trajectory(points=np.array([[0.0]]), h=0.1)
 
 
 @pytest.mark.parametrize("q0, q1", [

@@ -144,9 +144,9 @@ def test_simulate_shapes_and_energy_constancy():
     disk = rolling_disk(H)
     rule = midpoint_rule()
     q0, q1 = disk.initial_pair(rule)
-    traj, energies, lams = dla_simulate(disk.system, rule, q0, q1, 40,
-                                        disk.energies)
-    assert traj.points.shape == (42, 4)
+    points, energies, lams = dla_simulate(disk.system, rule, q0, q1, 40,
+                                          disk.energies)
+    assert points.shape == (42, 4)
     assert lams.shape == (40, 2)
     assert set(energies) == {"K1d", "K2d", "K3d"}
     for name, series in energies.items():
@@ -160,10 +160,10 @@ def test_long_catalogue_run_completes():
     # rounding level (growing with |q| / h^2) passed the Newton tolerance.
     disk = rolling_disk()
     rule = midpoint_rule()
-    traj, _, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 10_300)
-    assert traj.points.shape == (10_302, 4)
+    points, _, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 10_300)
+    assert points.shape == (10_302, 4)
     constraint = max(np.max(np.abs(discrete_constraint(disk.system, rule, a, b)))
-                     for a, b in traj.pairs()[-100:])
+                     for a, b in zip(points[-101:-1], points[-100:]))
     assert constraint < 1e-9
 
 
@@ -284,9 +284,8 @@ def test_midpoint_energy_series_matches_per_pair_bit_for_bit():
     # that cross PAIR_CHUNK boundaries
     disk = rolling_disk(H)
     rule = alpha_rule(0.25)
-    traj, series, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 3000,
-                                   energies=disk.energies)
-    points = traj.points
+    points, series, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 3000,
+                                     energies=disk.energies)
     assert len(points) - 1 > 2 * PAIR_CHUNK
     for name, energy in disk.energies.items():
         per_pair = np.array([energy(a, b) for a, b in zip(points[:-1], points[1:])])
