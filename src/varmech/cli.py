@@ -47,6 +47,10 @@ from .systems import (ImplicitForceSystem, ImplicitRecurrenceSystem,
 
 DEFAULT_STEPS = 100
 DEFAULT_POINTS = 32
+# Largest step and sample count: a run holds all its points, and a
+# check all its samples, in memory, so a larger count is a mistake (and
+# beyond numpy's largest shape, a crash).
+MAX_COUNT = 10 ** 9
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +85,8 @@ OPTIONS = {
     "rule": ("RULE", _TEXT, None, "constraint rule for rolling-disk: midpoint, "
                                   "trapezoidal, alpha:<x>, euler-a, euler-b"),
     "h": ("H", _NUMBER, _POSITIVE, "time step override"),
-    "steps": ("N", _INTEGER, (lambda n: n >= 0, "must be nonnegative"),
+    "steps": ("N", _INTEGER, (lambda n: 0 <= n <= MAX_COUNT,
+                              f"must be between 0 and {MAX_COUNT}"),
               f"number of steps to integrate (default {DEFAULT_STEPS})"),
     "dim": ("D", _INTEGER, None, "dimension override (toy-free-particle)"),
     "gauge": ("G", _NUMBER, None, "boundary-term coefficient (backward-error)"),
@@ -90,7 +95,8 @@ OPTIONS = {
     "fiber": ("NAME", _TEXT, None, "momentum map for rolling-disk isotropy: "
                                    "doubled-rate, doubled-increment, turn-ratio"),
     "tol": ("T", _NUMBER, _POSITIVE, "tolerance: Newton for simulate, verdict for check"),
-    "points": ("N", _INTEGER, (lambda n: n >= 1, "must be at least 1"),
+    "points": ("N", _INTEGER, (lambda n: 1 <= n <= MAX_COUNT,
+                               f"must be between 1 and {MAX_COUNT}"),
                f"sample count for checks (default {DEFAULT_POINTS})"),
     "box": ("B", _NUMBER, _POSITIVE, "half-width of the sampling box (default 1)"),
     "seed": ("S", _INTEGER, None, "sampling seed (default 0)"),

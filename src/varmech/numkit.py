@@ -11,6 +11,15 @@ are fixed here once:
   ``fd_jacobian4``, ``fd_directional4``) run in one kernel over a
   stencil table, which rejects a non-finite difference, so a NaN at any
   stencil point raises EvaluationError;
+* a callable marked by ``complex_safe`` (one that computes with complex
+  points as it does with real ones, so its values are analytic in
+  them) is differentiated by that kernel's complex-step row instead:
+  one evaluation per direction at a step of COMPLEX_STEP_SCALE, the
+  derivative ``Im f(x + i t e_k) / t``, which takes no difference and is
+  exact to rounding.  The catalogue's fiber maps and explicit
+  recurrences carry the mark, and so do the embeddings and slot maps
+  ``helmholtz`` and ``systems`` build from marked parts; every other
+  callable keeps its stencil;
 * every linear system goes through one path, ``lu_solve``: LAPACK's
   partial-pivot LU plus a row-scaled conditioning test, so a singular or
   near-singular Jacobian surfaces as SingularJacobian instead of NaNs or
@@ -46,11 +55,19 @@ FD_STEP_SCALE = 2.0 ** -17
 FD2_STEP_SCALE = 1.2e-4
 # Wider step for the order-4 stencil (optimum grows with stencil order).
 FD4_STEP_SCALE = 1e-3
-# Central stencils for _central: (relative step, offsets, weights,
-# denominator).  The terms are summed left to right, hi - lo and
-# -f1 + 8 f2 - 8 f3 + f4, which fixes the rounding of every difference.
+# Relative step of the complex-step row: far below the rounding level of
+# x, which the row can afford because it subtracts nothing, and far
+# above underflow.
+COMPLEX_STEP_SCALE = 1e-30
+# Stencils for _central: (relative step, offsets, weights, denominator).
+# The terms are summed left to right, hi - lo and -f1 + 8 f2 - 8 f3 + f4,
+# which fixes the rounding of every difference.  The complex-step row
+# has one imaginary offset and sums the imaginary part of its value.
 _CENTRAL2 = (FD_STEP_SCALE, (1.0, -1.0), (1.0, -1.0), 2.0)
 _CENTRAL4 = (FD4_STEP_SCALE, (2.0, 1.0, -1.0, -2.0), (-1.0, 8.0, -8.0, 1.0), 12.0)
+_COMPLEX_STEP = (COMPLEX_STEP_SCALE, (1j,), (1.0,), 1.0)
+# The attribute of the complex-safe mark.
+_MARK = "complex_safe"
 # Singularity threshold of lu_solve: a row-scaled condition number above
 # 1/PIVOT_FLOOR counts as singular at working precision.
 PIVOT_FLOOR = 1e-14
@@ -80,8 +97,24 @@ def _check_finite(value, where):
         raise EvaluationError(f"non-finite value encountered {where}")
 
 
+def complex_safe(f, *parts):
+    """Mark ``f`` complex-safe and return it; given ``parts``, only when
+    every part carries the mark, so a map built from marked callables
+    inherits it.
+
+    The mark declares that ``f`` computes with complex points as it does
+    with real ones, with no cast to float, no ``math`` function and no
+    branch on a value, and so returns the analytic continuation of its
+    real values.  The difference kernel then takes its derivatives by
+    the complex step.
+    """
+    if all(getattr(part, _MARK, False) for part in parts):
+        setattr(f, _MARK, True)
+    return f
+
+
 def _central(f, x, stencil, name, direction=None):
-    """The one central-difference kernel behind the fd_* wrappers.
+    """The one difference kernel behind the fd_* wrappers.
 
     ``stencil`` is (relative step, offsets, weights, denominator); a
     derivative along d at step t is sum_k w_k f(x + (o_k t) d) /
@@ -89,10 +122,15 @@ def _central(f, x, stencil, name, direction=None):
     result is the Jacobian, one column per coordinate i along e_i at
     step ``scale * max(1, |x_i|)``; with it, the derivative along
     ``direction`` at step ``scale * max(1, ||x||_inf) / ||direction||_inf``,
-    shaped like f's values.  Each finished difference must be finite, so
-    a non-finite value at any stencil point raises EvaluationError.
+    shaped like f's values.  An ``f`` marked by ``complex_safe`` gets the
+    complex-step row in place of ``stencil``: its one value per
+    direction must be complex, or f has dropped the imaginary part, and
+    its imaginary part over t is the derivative; its real part, f(x),
+    must be finite too.  Each finished derivative must be finite, so a
+    non-finite value at any stencil point raises EvaluationError.
     """
-    scale, offsets, weights, denom = stencil
+    complex_step = getattr(f, _MARK, False)
+    scale, offsets, weights, denom = _COMPLEX_STEP if complex_step else stencil
     x = _asvec(x)
     if direction is None:
         directions = np.eye(x.size)
@@ -107,7 +145,17 @@ def _central(f, x, stencil, name, direction=None):
     for i, (d, t) in enumerate(zip(directions, steps)):
         total = None
         for o, w in zip(offsets, weights):
-            term = w * np.asarray(f(x + (o * t) * d), dtype=float)
+            value = f(x + (o * t) * d)
+            if complex_step:
+                value = np.asarray(value)
+                if not np.iscomplexobj(value):
+                    raise EvaluationError(
+                        f"complex-safe callable returned real values in {name}, "
+                        f"direction {i}")
+                if i == 0:  # the real part is f(x) in every direction
+                    _check_finite(value.real, f"in {name} at x")
+                value = value.imag
+            term = w * np.asarray(value, dtype=float)
             total = term if total is None else total + term
         diff = total / (denom * t)
         if not np.all(np.isfinite(diff)):

@@ -28,7 +28,11 @@ from .errors import DomainError, OffManifold
 
 @dataclass
 class ExplicitSOdE:
-    """Explicit recurrence q2 = gamma(q0, q1) on an n-dimensional space."""
+    """Explicit recurrence q2 = gamma(q0, q1) on an n-dimensional space.
+
+    A ``gamma`` marked by ``numkit.complex_safe`` makes the maps built
+    from the recurrence complex-safe.
+    """
 
     dim: int
     gamma: Callable
@@ -38,8 +42,9 @@ class ExplicitSOdE:
             raise DomainError("dim must be at least 1")
 
     def __call__(self, q0, q1):
-        q2 = np.asarray(self.gamma(np.asarray(q0, dtype=float),
-                                   np.asarray(q1, dtype=float)), dtype=float)
+        """``gamma``'s next point, checked for shape; the points and the
+        value keep their dtype, so complex points pass through."""
+        q2 = np.asarray(self.gamma(np.asarray(q0), np.asarray(q1)))
         if q2.shape != (self.dim,):
             raise DomainError(f"gamma returned shape {q2.shape}, expected ({self.dim},)")
         return q2

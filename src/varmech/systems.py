@@ -24,7 +24,9 @@ can be exercised against hand-checkable numbers:
 
 Builders take keyword parameters (step size and system constants) and
 return small bundles of callables; ``make_system`` looks entries up by
-name for the command line.
+name for the command line.  Every fiber map and explicit recurrence
+here is marked by ``numkit.complex_safe``, so the checks differentiate
+them by the complex step.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .helmholtz import FiberMap, ImplicitODE, TwoFormField, sample_box
 from .lagrangian import DiscreteLagrangian
 from .nonholonomic import (DiscretizationRule, NonholonomicSystem,
                            midpoint_energy, midpoint_rule)
+from .numkit import complex_safe
 from .sode import ExplicitSOdE, ImplicitSOdE
 
 
@@ -100,8 +103,8 @@ def free_particle(h: float = 0.1, dim: int = 2) -> VariationalSystem:
     return VariationalSystem(
         name="toy-free-particle",
         lagrangian=lag,
-        recurrence=ExplicitSOdE(dim=dim, gamma=lambda q0, q1: 2 * q1 - q0),
-        fiber=FiberMap(dim=dim, func=lambda q0, q1: (q1 - q0) / h),
+        recurrence=ExplicitSOdE(dim=dim, gamma=complex_safe(lambda q0, q1: 2 * q1 - q0)),
+        fiber=FiberMap(dim=dim, func=complex_safe(lambda q0, q1: (q1 - q0) / h)),
         initial=(np.zeros(dim), h * velocity),
         energies={"kinetic": lambda q0, q1: float((q1 - q0) @ (q1 - q0)) / (2 * h * h)},
     )
@@ -157,8 +160,8 @@ def exact_oscillator(h: float = 0.1) -> VariationalSystem:
     return VariationalSystem(
         name="harmonic-exact",
         lagrangian=lag,
-        recurrence=ExplicitSOdE(dim=1, gamma=lambda q0, q1: 2 * c * q1 - q0),
-        fiber=FiberMap(dim=1, func=lambda q0, q1: (q1 - c * q0) / s),
+        recurrence=ExplicitSOdE(dim=1, gamma=complex_safe(lambda q0, q1: 2 * c * q1 - q0)),
+        fiber=FiberMap(dim=1, func=complex_safe(lambda q0, q1: (q1 - c * q0) / s)),
         initial=(np.array([1.0]), np.array([c])),
         energies={"oscillation": lambda q0, q1: invariant(q0, q1) / (2 * s * s)},
         alternate_lagrangian=alt,
@@ -208,10 +211,11 @@ class RollingDisk:
 
     def complete_pair(self, rule: DiscretizationRule, q0=None, theta1=None, phi1=None):
         """Fill in (x1, y1) from the discrete constraints given the new
-        angles; defaults reproduce the documented initial data."""
-        q0 = self.base_point if q0 is None else np.asarray(q0, dtype=float)
-        theta1 = self.next_angles[0] if theta1 is None else float(theta1)
-        phi1 = self.next_angles[1] if phi1 is None else float(phi1)
+        angles; defaults reproduce the documented initial data.  Given
+        values keep their dtype, so complex points pass through."""
+        q0 = self.base_point if q0 is None else np.asarray(q0)
+        theta1 = self.next_angles[0] if theta1 is None else theta1
+        phi1 = self.next_angles[1] if phi1 is None else phi1
         cs, sn = _rule_trig(rule, q0[1], phi1)
         dth = theta1 - q0[0]
         return q0, np.array([theta1, phi1, q0[2] + dth * cs, q0[3] + dth * sn])
@@ -239,13 +243,14 @@ class RollingDisk:
             return np.array([q1[0] + dth2, phi2,
                              q1[2] + dth2 * cs, q1[3] + dth2 * sn])
 
-        return ExplicitSOdE(dim=4, gamma=gamma)
+        return ExplicitSOdE(dim=4, gamma=complex_safe(gamma))
 
     def chart_embedding(self, fiber: FiberMap, rule: DiscretizationRule) -> Callable:
         """Embedding of the six-dimensional constraint chart
         (theta0, phi0, x0, y0, theta1, phi1) into two cotangent copies,
         completing (x1, y1) by the rule and advancing by the closed
-        form.  Feed the result to the isotropy pullback."""
+        form.  Feed the result to the isotropy pullback; it is
+        complex-safe when ``fiber``'s ``func`` is."""
         advance = self.reduced_recurrence(rule)
 
         def embed(z):
@@ -254,7 +259,7 @@ class RollingDisk:
             q2 = advance(q0, q1)
             return np.concatenate([q0, fiber(q0, q1), q1, fiber(q1, q2)])
 
-        return embed
+        return complex_safe(embed, fiber.func, advance.gamma)
 
     def chart_samples(self, count: int, seed: int = 0):
         """Chart points with angle increments kept in [0.1, 0.6] so the
@@ -323,11 +328,11 @@ def rolling_disk(h: float = 0.05) -> RollingDisk:
         return np.array([ratio, second, ratio, ratio])
 
     fibers = {
-        "doubled-rate": FiberMap(dim=4, func=lambda q0, q1: np.array(
-            [2 * (q1[0] - q0[0]) / h, (q1[1] - q0[1]) / h, 0.0, 0.0])),
-        "doubled-increment": FiberMap(dim=4, func=lambda q0, q1: np.array(
-            [2 * (q1[0] - q0[0]), q1[1] - q0[1], 0.0, 0.0])),
-        "turn-ratio": FiberMap(dim=4, func=turn_ratio),
+        "doubled-rate": FiberMap(dim=4, func=complex_safe(lambda q0, q1: np.array(
+            [2 * (q1[0] - q0[0]) / h, (q1[1] - q0[1]) / h, 0.0, 0.0]))),
+        "doubled-increment": FiberMap(dim=4, func=complex_safe(lambda q0, q1: np.array(
+            [2 * (q1[0] - q0[0]), q1[1] - q0[1], 0.0, 0.0]))),
+        "turn-ratio": FiberMap(dim=4, func=complex_safe(turn_ratio)),
     }
 
     return RollingDisk(
@@ -423,7 +428,8 @@ def backward_error(h: float = 0.1, gauge: float = 0.0) -> VariationalSystem:
         d2=lambda q0, q1: (q1 - q0) / h + gauge * h,
         d12=lambda q0, q1: np.array([[-1.0 / h]]),
     )
-    fiber = FiberMap(dim=1, func=lambda q0, q1: (q1 - q0) / h + h * q0 + gauge * h)
+    fiber = FiberMap(dim=1, func=complex_safe(
+        lambda q0, q1: (q1 - q0) / h + h * q0 + gauge * h))
 
     def shadow_energy(q0, q1):
         x = float(np.atleast_1d(q0)[0])
@@ -435,7 +441,8 @@ def backward_error(h: float = 0.1, gauge: float = 0.0) -> VariationalSystem:
     return VariationalSystem(
         name="backward-error",
         lagrangian=lag,
-        recurrence=ExplicitSOdE(dim=1, gamma=lambda q0, q1: (2 - h * h) * q1 - q0),
+        recurrence=ExplicitSOdE(
+            dim=1, gamma=complex_safe(lambda q0, q1: (2 - h * h) * q1 - q0)),
         fiber=fiber,
         initial=(x0, np.array([(1 - h * h) * x0[0] - gauge * h * h])),
         energies={"shadow": shadow_energy},
@@ -533,7 +540,7 @@ def exp_recurrence(h: float = 0.1) -> ImplicitRecurrenceSystem:
     return ImplicitRecurrenceSystem(
         name="exp-recurrence",
         equation=eq,
-        fiber=FiberMap(dim=1, func=lambda q0, q1: (q1 - q0) / h),
+        fiber=FiberMap(dim=1, func=complex_safe(lambda q0, q1: (q1 - q0) / h)),
         initial=(np.array([0.0]), np.array([h])),
         h=h,
         energies={"kinetic": lambda q0, q1: float((q1[0] - q0[0]) ** 2) / (2 * h * h)},

@@ -191,6 +191,11 @@ def test_config_file_rejections(tmp_path, capsys):
     ["simulate", "--system", "rolling-disk", "--h", "inf"],
     ["check", "dhc-explicit", "--system", "toy-free-particle", "--box", "inf"],
     ["simulate", "--system", "rolling-disk", "--q0", "nan,0,0,0", "--q1", "0,0,0,0"],
+    # counts beyond numpy's largest shape, rejected before any allocation
+    ["simulate", "--system", "harmonic-exact", "--steps", "100000000000000000000"],
+    ["check", "dhc-explicit", "--system", "toy-free-particle",
+     "--points", "100000000000000000000"],
+    ["check", "isotropy", "--system", "rolling-disk", "--points", "100000000000000000000"],
 ])
 def test_config_errors_exit_one(args, tmp_path, capsys):
     out = tmp_path / "never.txt"

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from varmech import helmholtz as hz
-from varmech import systems
+from varmech import numkit, systems
 from varmech.errors import DomainError, EvaluationError, SingularJacobian
 from varmech.lagrangian import DiscreteLagrangian
 from varmech.sode import ExplicitSOdE, ImplicitSOdE, explicit_to_implicit, implicit_step
@@ -441,6 +441,58 @@ def test_check_dhc_explicit_matches_exact_linear_residuals(n, tol):
         assert cond.tol == pytest.approx(eff, rel=1e-9)
         assert cond.passed == (want <= eff)
     assert report.verdict == all(want <= eff for want in exact)
+
+
+def _linear_isotropy_case(p, q, a, b, marked):
+    """The pair embedding of F = P q0 + Q q1 along q2 = A q1 + B q0, its
+    exact pullback maximum and its largest Jacobian entry.  The Jacobian
+    is constant, with rows [I 0], [P Q], [0 I], [QB P+QA], so the pullback
+    is the constant [[P - P', C], [-C', R' - R]] with C = Q + (QB)' and
+    R = P + QA."""
+    n = len(p)
+    mark = numkit.complex_safe if marked else (lambda f: f)
+    fiber = hz.FiberMap(dim=n, func=mark(lambda q0, q1: p @ q0 + q @ q1))
+    eq = ExplicitSOdE(dim=n, gamma=mark(lambda q0, q1: a @ q1 + b @ q0))
+    c, r = q + (q @ b).T, p + q @ a
+    pulled = np.block([[p - p.T, c], [-c.T, r.T - r]])
+    size = max(1.0, *(float(np.max(np.abs(m))) for m in (p, q, q @ b, r)))
+    return hz.gamma_embedding(fiber, eq), float(np.max(np.abs(pulled))), size
+
+
+@pytest.mark.parametrize("marked", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_isotropy_passes_every_quadratic_lagrangian(n, marked):
+    # the data of test_check_dhc_explicit_passes_every_quadratic_lagrangian
+    rng = np.random.default_rng(100 + n)
+    s0, s1 = (m + m.T for m in rng.normal(size=(2, n, n)))
+    k = rng.normal(size=(n, n)) + n * np.eye(n)
+    k_inv = np.linalg.inv(k)
+    embed, exact, size = _linear_isotropy_case(-s0, -k, -k_inv @ (s0 + s1),
+                                               -k_inv @ k.T, marked)
+    assert getattr(embed, "complex_safe", False) == marked
+    assert exact < 1e-12 * size ** 2
+    report = hz.check_isotropy(embed, hz.sample_box(2 * n, 8, seed=n), tol=1e-6)
+    assert report.verdict
+    cond = report.conditions[0]
+    assert cond.tol == pytest.approx(1e-6 * size ** 2, rel=1e-9)
+    scaled = cond.max_residual / size ** 2
+    assert scaled <= (1e-13 if marked else 1e-10)
+
+
+@pytest.mark.parametrize("marked", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("tol", [1e-6, 1.0])
+def test_check_isotropy_matches_exact_linear_pullback(n, tol, marked):
+    rng = np.random.default_rng(300 + n)
+    p, q, a, b = rng.normal(size=(4, n, n))
+    embed, exact, size = _linear_isotropy_case(p, q, a, b, marked)
+    report = hz.check_isotropy(embed, hz.sample_box(2 * n, 8, seed=n), tol=tol)
+    eff = tol * size ** 2
+    assert abs(exact - eff) > 1e-9 * eff  # no verdict within the residual's error
+    cond = report.conditions[0]
+    assert cond.max_residual == pytest.approx(exact, rel=1e-9)
+    assert cond.tol == pytest.approx(eff, rel=1e-9)
+    assert report.verdict == cond.passed == (exact <= eff)
 
 
 def test_check_dhc_implicit_report():

@@ -72,6 +72,49 @@ def test_fd_directional4_rejects_nan_at_inner_point():
         numkit.fd_directional4(_nan_at_inner_points(x0), x0, np.array([1.0]))
 
 
+def test_complex_step_is_exact_where_the_stencil_is_not():
+    f = lambda z: np.array([np.exp(z[0]) * np.sin(z[1]), z[0] * z[1] ** 3])
+    x = np.array([0.3, -1.7])
+    exact = [[np.exp(0.3) * np.sin(-1.7), np.exp(0.3) * np.cos(-1.7)],
+             [(-1.7) ** 3, 3 * 0.3 * (-1.7) ** 2]]
+    order4 = numkit.fd_jacobian4(f, x)
+    marked = numkit.fd_jacobian4(numkit.complex_safe(f), x)
+    assert np.max(np.abs(order4 - exact)) > 1e-14
+    assert_allclose(marked, exact, rtol=4 * numkit.EPS, atol=0)
+
+
+def test_complex_step_directional_derivative():
+    g = numkit.complex_safe(lambda z: np.array([[z[0] ** 2, z[0] * z[1]]]))
+    d = numkit.fd_directional4(g, np.array([0.5, 2.0]), np.array([1.0, -1.0]))
+    assert_allclose(d, [[1.0, 2.0 - 0.5]], rtol=4 * numkit.EPS, atol=0)
+
+
+def test_complex_safe_mark_propagates_only_from_marked_parts():
+    marked = numkit.complex_safe(lambda z: z)
+    plain = lambda z: z
+    assert getattr(numkit.complex_safe(lambda z: z, marked), "complex_safe", False)
+    assert not getattr(numkit.complex_safe(lambda z: z, marked, plain),
+                       "complex_safe", False)
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_complex_safe_callable_that_casts_to_float_raises():
+    # the cast drops the imaginary part: a silent zero derivative
+    f = numkit.complex_safe(lambda z: np.asarray(z ** 2, dtype=float))
+    with pytest.raises(EvaluationError, match="complex-safe callable returned real"):
+        numkit.fd_jacobian4(f, np.array([0.3, 0.4]))
+
+
+@pytest.mark.parametrize("nan_at", [
+    lambda z: np.nan * z,   # NaN in both parts
+    lambda z: z + np.nan,   # NaN in f(x) only: the derivative reads 1
+])
+def test_complex_safe_callable_returning_nan_raises(nan_at):
+    f = numkit.complex_safe(nan_at)
+    with pytest.raises(EvaluationError, match="fd_jacobian4"):
+        numkit.fd_jacobian4(f, np.array([0.3]))
+
+
 def test_fd_gradient_rejects_nonfinite_value():
     with pytest.raises(EvaluationError, match="fd_gradient"):
         numkit.fd_gradient(lambda z: np.inf if z[1] > 0.5 else z[0], np.array([0.2, 0.5]))

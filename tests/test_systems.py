@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from varmech import numkit, systems
 from varmech.errors import DomainError, UnknownSystem
-from varmech.helmholtz import functional_residual_1d
+from varmech.helmholtz import functional_residual_1d, sample_box
 from varmech.lagrangian import del_residual, simulate
-from varmech.nonholonomic import euler_a_rule, midpoint_rule
+from varmech.nonholonomic import euler_a_rule, midpoint_rule, rule_from_spec
 from varmech.sode import implicit_step
 
 
@@ -207,3 +207,50 @@ def test_functional_admissibility_filters_samples():
     pts = contracting.samples(64, seed=0)
     assert np.all(np.abs(pts[:, 0]) > 0.2)
     assert np.all(np.abs(pts[:, 1]) > 0.2)
+
+
+DISK_RULES = ("midpoint", "trapezoidal", "alpha:0.3", "alpha:0.85", "euler-a", "euler-b")
+
+
+def _marked_catalogue_callables():
+    """(label, pair callable, (count, 2n) sample points) for every fiber
+    map and explicit recurrence of the catalogue."""
+    cases = []
+    for name in ("toy-free-particle", "harmonic-exact", "backward-error"):
+        params = {"gauge": 1.0} if name == "backward-error" else {}
+        bundle = systems.make_system(name, **params)
+        box = sample_box(2 * bundle.dim, 32, seed=3)
+        cases += [(f"{name} fiber", bundle.fiber.func, box),
+                  (f"{name} recurrence", bundle.recurrence.gamma, box)]
+    er = systems.make_system("exp-recurrence")
+    cases.append(("exp-recurrence fiber", er.fiber.func, sample_box(2, 32, seed=3)))
+    disk = systems.make_system("rolling-disk")
+    chart = disk.chart_samples(32, seed=3)
+    for spec in DISK_RULES:
+        rule = rule_from_spec(spec)
+        pairs = np.array([np.concatenate(disk.complete_pair(rule, z[:4], z[4], z[5]))
+                          for z in chart])
+        if spec == "midpoint":
+            cases += [(f"rolling-disk fiber {fiber}", disk.fibers[fiber].func, pairs)
+                      for fiber in sorted(disk.fibers)]
+        cases.append((f"rolling-disk reduced recurrence {spec}",
+                      disk.reduced_recurrence(rule).gamma, pairs))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("label, func, points", _marked_catalogue_callables())
+def test_marked_catalogue_callables_are_analytic(label, func, points):
+    # a mark on a callable that is not analytic in its points (a cast, a
+    # math function, a branch on a value) shows as a complex-step
+    # Jacobian that disagrees with the order-4 stencil.  The stencil runs
+    # at a tenth of its step, in the offset y = 10 (z' - z): at its own
+    # step its truncation error on turn-ratio reaches 1e-7 relative at
+    # chart points with a phi increment near 0.1.
+    assert getattr(func, "complex_safe", False), label
+    n = points.shape[1] // 2
+    pair = numkit.complex_safe(lambda z: func(z[:n], z[n:]))
+    for z in points:
+        order4 = 10.0 * numkit.fd_jacobian4(lambda y: pair(z + y / 10.0), np.zeros(2 * n))
+        step = numkit.fd_jacobian4(pair, z)
+        bound = 1e-8 * max(1.0, float(np.max(np.abs(order4))))
+        assert np.max(np.abs(step - order4)) <= bound, (label, z)
