@@ -30,9 +30,14 @@ copy minus the first: ambient matrix diag(-S, S).
 
 The sampled verdicts (``check_dhc_explicit``, ``check_dhc_implicit``,
 ``check_isotropy``, ``check_chc``, ``check_ihc``, ``check_two_form``,
-``check_functional``) each supply a per-point residual function to one
-driver, ``_sampled_check``, which runs the sample loop, keeps the worst
-residual and point per condition and applies the scaled tolerance.
+``check_functional``) each supply a residual function to one sample
+loop, ``_sampled_check``, which walks the samples in blocks of at most
+SAMPLE_CHUNK points, keeps the worst residual and point per condition
+and applies the scaled tolerance.  Isotropy and dhc-explicit evaluate
+a whole block at once: their embeddings and slot maps, built from
+complex-safe callables, compute over a leading axis, so one call
+covers every complex-step point of the block.  The other checks run
+their per-point function on each point of a block.
 
 All residuals here are exact zeros for variational data, so any value
 above the derivatives' noise floor is meaningful.  Isotropy,
@@ -43,8 +48,8 @@ come from the complex step and are exact to rounding, so their
 residuals sit at rounding level (about 1e-15 relative).  Unmarked
 callables, the nested differences of chc and ihc, the two-form checks
 and the order-2 tangent basis keep the difference stencils, whose
-floor is about 1e-10.  Sample-point loops are embarrassingly parallel;
-every function is pure.
+floor is about 1e-10.  Every function is pure, so evaluating a block
+at once gives the residuals of evaluating its points one by one.
 """
 
 from __future__ import annotations
@@ -58,6 +63,11 @@ import numpy as np
 from . import numkit
 from .errors import DomainError, EvaluationError, SingularJacobian
 from .sode import ExplicitSOdE, ImplicitSOdE, implicit_step, tangent_basis
+
+# Most sample points a check evaluates at once, which bounds the
+# temporaries of a block: the stacked complex-step points and the
+# values and Jacobians of its embeddings.
+SAMPLE_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +98,9 @@ def sample_box(dim, count, box=1.0, seed=0, center=None, predicate=None):
     golden ratio; ``seed`` shifts the starting index so different seeds
     give different but reproducible point sets.  With a ``predicate``
     the sequence is filtered until ``count`` admissible points are
-    found (DomainError if the predicate keeps rejecting).
+    found (DomainError if the predicate keeps rejecting).  Candidates
+    are computed a block at a time, in one array expression, and the
+    predicate sees them in order.
     """
     if count < 1 or dim < 1:
         raise DomainError("sample_box needs positive dim and count")
@@ -98,20 +110,31 @@ def sample_box(dim, count, box=1.0, seed=0, center=None, predicate=None):
         g = (1.0 + g) ** (1.0 / (dim + 1))
     alpha = g ** -(1.0 + np.arange(dim))
     center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    first = 1 + seed * 7919
+
+    def candidates(start, stop):
+        # the indices are exact integers (Python ones past int64), each
+        # rounded to float once
+        idx = np.arange(first + start, first + stop).astype(float)
+        return center + box * (2.0 * np.mod(0.5 + idx[:, None] * alpha, 1.0) - 1.0)
+
+    if predicate is None:
+        return candidates(0, count)
     out = np.empty((count, dim))
     found = 0
     k = 0
-    limit = 1000 * count + 1000
+    limit = 1000 * count + 1000  # the last candidate index tried
     while found < count:
         if k > limit:
             raise DomainError("sample predicate rejected too many points")
-        idx = 1 + k + seed * 7919
-        point = center + box * (2.0 * np.mod(0.5 + idx * alpha, 1.0) - 1.0)
-        k += 1
-        if predicate is not None and not predicate(point):
-            continue
-        out[found] = point
-        found += 1
+        stop = min(k + count - found, limit + 1)
+        for point in candidates(k, stop):
+            if predicate(point):
+                out[found] = point
+                found += 1
+                if found == count:
+                    break
+        k = stop
     return out
 
 
@@ -127,7 +150,8 @@ class FiberMap:
     discrete Lagrangian); kind "plus" attaches it at q1 (the pattern of
     D2).  ``func`` returns the covector components only; the base point
     is implied by the kind.  A ``func`` marked by ``numkit.complex_safe``
-    makes the map, and the embeddings built from it, complex-safe.
+    makes the map, and the embeddings built from it, complex-safe; such
+    a ``func`` also takes points stacked on leading axes.
     """
 
     dim: int
@@ -141,11 +165,15 @@ class FiberMap:
             raise DomainError("dim must be at least 1")
 
     def __call__(self, q0, q1):
-        """``func``'s covector at (q0, q1), checked for shape; the points
-        and the value keep their dtype, so complex points pass through."""
-        p = np.asarray(self.func(np.asarray(q0), np.asarray(q1)))
-        if p.shape != (self.dim,):
-            raise DomainError(f"fiber map returned shape {p.shape}, expected ({self.dim},)")
+        """``func``'s covector at (q0, q1), one per point of the leading
+        axes, checked for shape; the points and the value keep their
+        dtype, so complex points pass through."""
+        q0 = np.asarray(q0)
+        q1 = np.asarray(q1)
+        p = np.asarray(self.func(q0, q1))
+        expected = numkit.lead_shape(q0, q1) + (self.dim,)
+        if p.shape != expected:
+            raise DomainError(f"fiber map returned shape {p.shape}, expected {expected}")
         return p
 
     def base(self, q0, q1):
@@ -153,12 +181,14 @@ class FiberMap:
 
     def slot_jacobians(self, q0, q1):
         """(dF/dq0, dF/dq1) by order-4 differences, or by the complex
-        step when ``func`` is complex-safe."""
+        step when ``func`` is complex-safe; stacked points (S, n) give
+        stacks of Jacobians."""
         n = self.dim
-        z = np.concatenate([np.asarray(q0, dtype=float), np.asarray(q1, dtype=float)])
+        z = np.concatenate([np.asarray(q0, dtype=float), np.asarray(q1, dtype=float)],
+                           axis=-1)
         j = numkit.fd_jacobian4(
-            numkit.complex_safe(lambda zz: self(zz[:n], zz[n:]), self.func), z)
-        return j[:, :n], j[:, n:]
+            numkit.complex_safe(lambda zz: self(zz[..., :n], zz[..., n:]), self.func), z)
+        return j[..., :n], j[..., n:]
 
     def local_diffeo_residual(self, q0, q1):
         """Smallest singular value of the fiber-slot Jacobian.
@@ -219,7 +249,9 @@ def dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, q0, q1):
 
 
 def _dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, q0, q1):
-    """``dhc_explicit``'s residuals and the largest entry of dF at (q0, q1)."""
+    """``dhc_explicit``'s residuals and the largest entry of dF at
+    (q0, q1); stacked pairs (S, n), which need a complex-safe fiber map
+    and recurrence, give stacks of both."""
     if fiber.kind != "minus":
         raise DomainError("dhc_explicit needs a minus-type fiber map")
     n = fiber.dim
@@ -228,14 +260,15 @@ def _dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, q0, q1):
     m1, m2 = fiber.slot_jacobians(q0, q1)
     q2 = eq(q0, q1)
     _, n2 = fiber.slot_jacobians(q1, q2)
-    z = np.concatenate([q0, q1])
+    z = np.concatenate([q0, q1], axis=-1)
     jg = numkit.fd_jacobian4(
-        numkit.complex_safe(lambda zz: eq(zz[:n], zz[n:]), eq.gamma), z)
-    g0, g1 = jg[:, :n], jg[:, n:]
+        numkit.complex_safe(lambda zz: eq(zz[..., :n], zz[..., n:]), eq.gamma), z)
+    g0, g1 = jg[..., :n], jg[..., n:]
     r1 = numkit.antisymmetrize(m1)
-    r2 = m2 + (n2 @ g0).T
+    r2 = m2 + np.swapaxes(n2 @ g0, -1, -2)
     r3 = numkit.antisymmetrize(n2 @ g1)
-    return (r1, r2, r3), max(float(np.max(np.abs(m1))), float(np.max(np.abs(m2))))
+    size = np.maximum(np.abs(m1).max(axis=(-2, -1)), np.abs(m2).max(axis=(-2, -1)))
+    return (r1, r2, r3), size
 
 
 def _triple_embedding(fiber: FiberMap, q0, q1, q2):
@@ -243,8 +276,8 @@ def _triple_embedding(fiber: FiberMap, q0, q1, q2):
     n = fiber.dim
 
     def embed(z):
-        a, b, c = z[:n], z[n : 2 * n], z[2 * n :]
-        return np.concatenate([a, fiber(a, b), b, fiber(b, c)])
+        a, b, c = z[..., :n], z[..., n : 2 * n], z[..., 2 * n :]
+        return np.concatenate([a, fiber(a, b), b, fiber(b, c)], axis=-1)
 
     z = np.concatenate([np.asarray(q0, dtype=float), np.asarray(q1, dtype=float),
                         np.asarray(q2, dtype=float)])
@@ -291,21 +324,23 @@ def _dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e
 def gamma_embedding(fiber: FiberMap, eq: ExplicitSOdE) -> Callable:
     """The pair embedding into two cotangent copies induced by a fiber
     map and a recurrence; input is stacked z = (q0, q1) of length 2n.
-    It is complex-safe when both ``func`` and ``gamma`` are."""
+    It is complex-safe when both ``func`` and ``gamma`` are, and then
+    takes points stacked on leading axes too."""
     n = fiber.dim
 
     if fiber.kind == "minus":
 
         def embed(z):
-            q0, q1 = z[:n], z[n:]
-            return np.concatenate([q0, fiber(q0, q1), q1, fiber(q1, eq(q0, q1))])
+            q0, q1 = z[..., :n], z[..., n:]
+            return np.concatenate([q0, fiber(q0, q1), q1, fiber(q1, eq(q0, q1))],
+                                  axis=-1)
 
     else:
 
         def embed(z):
-            q0, q1 = z[:n], z[n:]
+            q0, q1 = z[..., :n], z[..., n:]
             q2 = eq(q0, q1)
-            return np.concatenate([q1, fiber(q0, q1), q2, fiber(q1, q2)])
+            return np.concatenate([q1, fiber(q0, q1), q2, fiber(q1, q2)], axis=-1)
 
     return numkit.complex_safe(embed, fiber.func, eq.gamma)
 
@@ -323,13 +358,15 @@ def isotropy_pullback(embedding: Callable, z, ambient=None):
 
 
 def _pullback(embedding: Callable, z, ambient):
-    """The embedding's Jacobian at z and the pulled-back form."""
+    """The embedding's Jacobian at z and the pulled-back form; stacked
+    points z (S, m) give stacks of both."""
     jac = numkit.fd_jacobian4(embedding, np.asarray(z, dtype=float))
+    rows = jac.shape[-2]
     if ambient is None:
-        if jac.shape[0] % 4 != 0:
+        if rows % 4 != 0:
             raise DomainError("ambient dimension must be a multiple of 4")
-        ambient = pair_omega_matrix(jac.shape[0] // 4)
-    return jac, jac.T @ np.asarray(ambient, dtype=float) @ jac
+        ambient = pair_omega_matrix(rows // 4)
+    return jac, np.swapaxes(jac, -1, -2) @ np.asarray(ambient, dtype=float) @ jac
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +478,11 @@ class ImplicitODE:
             return np.asarray(self.c(q, qd, qdd), dtype=float)
         return numkit.fd_jacobian4(lambda a: self(q, qd, a), np.asarray(qdd, dtype=float))
 
-    def solve_acceleration(self, q, qd, guess=None):
+    def solve_acceleration(self, q, qd):
+        """The acceleration solving phi(q, qd, .) = 0, by Newton from 0."""
         q = np.asarray(q, dtype=float)
         qd = np.asarray(qd, dtype=float)
-        if guess is None:
-            guess = np.zeros(self.dim)
-        return numkit.newton_solve(lambda a: self(q, qd, a), guess,
+        return numkit.newton_solve(lambda a: self(q, qd, a), np.zeros(self.dim),
                                    jacobian=lambda a: self.C(q, qd, a))
 
 
@@ -596,31 +632,44 @@ def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float
                    system: str, params: dict | None) -> ConditionReport:
     """The one loop behind every sampled check.
 
-    ``residuals_at(z)`` returns one residual (matrix or scalar) per name
-    at the point z, and the size of the data there, such as the largest
-    Jacobian entry.  Each condition keeps its worst residual and the
-    point where it occurred (a tie goes to the later point).  The
-    effective tolerance is tol * max(1, s) with s the largest size over
-    all points: residuals of well-scaled data are compared as-is, steep
+    ``residuals_at(block)`` takes a block of at most SAMPLE_CHUNK sample
+    points, in sample order, and returns one residual per name (an
+    array stacked over the block's points, matrix or scalar per point)
+    and the size of the data at each point, such as the largest
+    Jacobian entry; ``_per_point`` lifts a function of one point to
+    this form.  Each condition keeps its worst residual and the point
+    where it occurred (a tie goes to the later point).  The effective
+    tolerance is tol * max(1, s) with s the largest size over all
+    points: residuals of well-scaled data are compared as-is, steep
     Jacobians widen the band proportionally.  A non-finite residual or
     size raises EvaluationError naming the check, the condition and the
-    point, since it could neither pass nor fail.
+    point, since it could neither pass nor fail.  The first bad point
+    in sample order decides the error, as in a point-by-point loop: a
+    block whose evaluation raises is evaluated again one point at a
+    time.
     """
     if len(points) == 0 or np.size(points[0]) == 0:  # atleast_2d([]) is one empty point
         raise DomainError(f"{check} needs at least one sample point")
     worst = [0.0] * len(names)
     worst_point = [points[0]] * len(names)
     scale = 1.0
-    for z in points:
-        residuals, z_scale = residuals_at(z)
-        _require_finite(check, "data size", z_scale, z)
-        scale = max(scale, z_scale)
-        for k, val in enumerate(residuals):
-            mag = float(np.max(np.abs(val)))
-            _require_finite(check, names[k], mag, z)
-            if mag >= worst[k]:
-                worst[k] = mag
-                worst_point[k] = z
+    for block, (residuals, sizes) in _blocks(residuals_at, points):
+        count = len(block)
+        sizes = np.asarray(sizes, dtype=float)
+        mags = np.array([np.abs(np.reshape(r, (count, -1))).max(axis=1)
+                         for r in residuals])
+        finite = (sizes < np.inf) & (mags < np.inf).all(axis=0)  # NaN fails too
+        if not finite.all():
+            i = int(np.argmin(finite))
+            _require_finite(check, "data size", sizes[i], block[i])
+            for name, mag in zip(names, mags[:, i]):
+                _require_finite(check, name, mag, block[i])
+        scale = max(scale, float(sizes.max()))
+        for k, row in enumerate(mags):
+            i = count - 1 - int(np.argmax(row[::-1]))  # the later point of a tie
+            if row[i] >= worst[k]:
+                worst[k] = float(row[i])
+                worst_point[k] = block[i]
     eff = tol * max(1.0, scale)
     report = ConditionReport(check=check, system=system, params=params or {})
     report.conditions = [
@@ -630,6 +679,37 @@ def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float
         for name, mag, z in zip(names, worst, worst_point)
     ]
     return report
+
+
+def _blocks(residuals_at: Callable, points):
+    """(block, residuals_at(block)) over ``points`` in blocks of at most
+    SAMPLE_CHUNK; a block that raises is redone in blocks of one, so the
+    first point that raises, or that has a non-finite residual, in
+    sample order decides the error."""
+    for start in range(0, len(points), SAMPLE_CHUNK):
+        block = points[start:start + SAMPLE_CHUNK]
+        try:
+            result = residuals_at(block)
+        except Exception:
+            if len(block) == 1:
+                raise
+        else:
+            yield block, result
+            continue
+        for i in range(len(block)):
+            yield block[i:i + 1], residuals_at(block[i:i + 1])
+
+
+def _per_point(residuals_at: Callable) -> Callable:
+    """Lift ``residuals_at(z) -> (residuals, size)`` at one point to the
+    block form ``_sampled_check`` takes, calling it on each point of a
+    block in order."""
+
+    def at_block(block):
+        residuals, sizes = zip(*(residuals_at(z) for z in block))
+        return list(zip(*residuals)), sizes
+
+    return at_block
 
 
 def _require_finite(check, condition, value, z):
@@ -647,9 +727,12 @@ def check_dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, samples,
     obstruction was found at these points.
     """
     n = fiber.dim
+    if numkit.is_complex_safe(fiber.func, eq.gamma):
+        residuals_at = lambda block: _dhc_explicit(fiber, eq, block[:, :n], block[:, n:])
+    else:  # callables without the mark take one point at a time
+        residuals_at = _per_point(lambda z: _dhc_explicit(fiber, eq, z[:n], z[n:]))
     return _sampled_check(
-        "dhc-explicit", ("dHC1", "dHC2", "dHC3"),
-        lambda z: _dhc_explicit(fiber, eq, z[:n], z[n:]),
+        "dhc-explicit", ("dHC1", "dHC2", "dHC3"), residuals_at,
         np.atleast_2d(np.asarray(samples, dtype=float)), tol, system, params)
 
 
@@ -664,7 +747,7 @@ def check_dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, samples,
         return _dhc_implicit(fiber, eq, q0, q1, implicit_step(eq, q0, q1))
 
     return _sampled_check(
-        "dhc-implicit", ("dHC1", "dHC2", "dHC3"), residuals_at,
+        "dhc-implicit", ("dHC1", "dHC2", "dHC3"), _per_point(residuals_at),
         np.atleast_2d(np.asarray(samples, dtype=float)), tol, system, params)
 
 
@@ -679,9 +762,10 @@ def check_isotropy(embedding: Callable, samples, tol: float = 1e-6,
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
 
-    def residuals_at(z):
-        jac, pulled = _pullback(embedding, z, ambient)
-        return (pulled,), float(np.max(np.abs(jac))) ** 2
+    def residuals_at(block):
+        jac, pulled = _pullback(embedding, block, ambient)
+        # a Python float squared, as libm's pow() rounds it
+        return (pulled,), [v ** 2 for v in np.abs(jac).max(axis=(1, 2)).tolist()]
 
     report = _sampled_check("isotropy", ("isotropy",), residuals_at, samples,
                             tol, system, params)
@@ -703,7 +787,7 @@ def check_chc(phi: Callable, jets, tol: float = 1e-6,
                  for jet in jets]
     return _sampled_check(
         "chc", ("cHC1", "cHC2", "cHC3"),
-        lambda z: (chc_classical(phi, np.split(z, 4)), 1.0),
+        _per_point(lambda z: (chc_classical(phi, np.split(z, 4)), 1.0)),
         flat_jets, tol, system, params)
 
 
@@ -714,7 +798,7 @@ def check_ihc(fiber: Callable, ode: ImplicitODE, points, tol: float = 1e-6,
     n = points.shape[1] // 2
     return _sampled_check(
         "ihc", ("IHC1", "IHC2", "IHC3"),
-        lambda z: (chc_implicit(fiber, ode, z[:n], z[n:]), 1.0),
+        _per_point(lambda z: (chc_implicit(fiber, ode, z[:n], z[n:]), 1.0)),
         points, tol, system, params)
 
 
@@ -725,7 +809,7 @@ def check_functional(f: Callable, g: Callable, points, tol: float = 1e-10,
     compatibility equation."""
     return _sampled_check(
         "functional", ("functional",),
-        lambda z: ((_functional_residual(f, g, z[0], z[1], fx),), 1.0),
+        _per_point(lambda z: ((_functional_residual(f, g, z[0], z[1], fx),), 1.0)),
         np.asarray(points, dtype=float).reshape(-1, 2), tol, system, params)
 
 
@@ -749,7 +833,7 @@ def check_two_form(omega: TwoFormField, samples, flow: Callable | None = None,
             minima[key] = min(minima[key], out[key])
         return [out[name] for name in names], out["magnitude"]
 
-    report = _sampled_check("two-form", names, residuals_at,
+    report = _sampled_check("two-form", names, _per_point(residuals_at),
                             np.atleast_2d(np.asarray(samples, dtype=float)),
                             tol, system, params)
     report.params = dict(params or {}, min_abs_det=float(minima["abs_det"]),

@@ -178,14 +178,14 @@ def _constraint_jacobian(system, rule, q1, q2):
 
 
 def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
-             guess=None, *, tol: float | None = None):
+             *, tol: float | None = None):
     """One constrained step: returns (q2, multipliers).
 
     The Newton unknown stacks q2 with the multipliers; the initial
-    guess continues the segment linearly with zero multipliers unless
-    one is supplied.  The convergence tolerance is scaled by the size
-    of the incoming momentum, since the stationarity residual inherits
-    that magnitude; with ``tol`` None, the default, it is also floored
+    guess continues the segment linearly with zero multipliers.  The
+    convergence tolerance is scaled by the size of the incoming
+    momentum, since the stationarity residual inherits that magnitude;
+    with ``tol`` None, the default, it is also floored
     at the residual's rounding level, which grows with |q| over long
     runs (see ``numkit.newton_solve``).
 
@@ -233,9 +233,8 @@ def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
             block[n:, :n] = _constraint_jacobian(system, rule, q1, q2)
         return block
 
-    if guess is None:
-        guess = np.zeros(n + m)
-        guess[:n] = 2 * q1 - q0
+    guess = np.zeros(n + m)
+    guess[:n] = 2 * q1 - q0
     u = numkit.newton_solve(residual, guess, tol=tol, jacobian=jacobian,
                             tol_scale=max(1.0, float(np.maximum.reduce(np.absolute(d2_prev)))))
     return u[:n], u[n:]

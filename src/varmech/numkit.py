@@ -13,13 +13,15 @@ are fixed here once:
   stencil point raises EvaluationError;
 * a callable marked by ``complex_safe`` (one that computes with complex
   points as it does with real ones, so its values are analytic in
-  them) is differentiated by that kernel's complex-step row instead:
-  one evaluation per direction at a step of COMPLEX_STEP_SCALE, the
-  derivative ``Im f(x + i t e_k) / t``, which takes no difference and is
-  exact to rounding.  The catalogue's fiber maps and explicit
-  recurrences carry the mark, and so do the embeddings and slot maps
-  ``helmholtz`` and ``systems`` build from marked parts; every other
-  callable keeps its stencil;
+  them, and over leading axes of stacked points) is differentiated by
+  that kernel's complex-step row instead: one evaluation per direction
+  at a step of COMPLEX_STEP_SCALE, the derivative
+  ``Im f(x + i t e_k) / t``, which takes no difference and is exact to
+  rounding.  All directions of all points of a stack (S, n) go to the
+  callable in one call.  The catalogue's fiber maps and recurrences
+  carry the mark, and so do the embeddings and slot maps ``helmholtz``,
+  ``sode`` and ``systems`` build from marked parts; every other
+  callable keeps its stencil, one point at a time;
 * every linear system goes through one path, ``lu_solve``: LAPACK's
   partial-pivot LU plus a row-scaled conditioning test, so a singular or
   near-singular Jacobian surfaces as SingularJacobian instead of NaNs or
@@ -62,10 +64,10 @@ COMPLEX_STEP_SCALE = 1e-30
 # Stencils for _central: (relative step, offsets, weights, denominator).
 # The terms are summed left to right, hi - lo and -f1 + 8 f2 - 8 f3 + f4,
 # which fixes the rounding of every difference.  The complex-step row
-# has one imaginary offset and sums the imaginary part of its value.
+# (_complex_step) has one imaginary offset and takes the imaginary part
+# of its value.
 _CENTRAL2 = (FD_STEP_SCALE, (1.0, -1.0), (1.0, -1.0), 2.0)
 _CENTRAL4 = (FD4_STEP_SCALE, (2.0, 1.0, -1.0, -2.0), (-1.0, 8.0, -8.0, 1.0), 12.0)
-_COMPLEX_STEP = (COMPLEX_STEP_SCALE, (1j,), (1.0,), 1.0)
 # The attribute of the complex-safe mark.
 _MARK = "complex_safe"
 # Singularity threshold of lu_solve: a row-scaled condition number above
@@ -97,6 +99,11 @@ def _check_finite(value, where):
         raise EvaluationError(f"non-finite value encountered {where}")
 
 
+def is_complex_safe(*fs):
+    """Whether every callable in ``fs`` carries the complex-safe mark."""
+    return all(getattr(f, _MARK, False) for f in fs)
+
+
 def complex_safe(f, *parts):
     """Mark ``f`` complex-safe and return it; given ``parts``, only when
     every part carries the mark, so a map built from marked callables
@@ -105,12 +112,26 @@ def complex_safe(f, *parts):
     The mark declares that ``f`` computes with complex points as it does
     with real ones, with no cast to float, no ``math`` function and no
     branch on a value, and so returns the analytic continuation of its
-    real values.  The difference kernel then takes its derivatives by
-    the complex step.
+    real values.  It also declares that ``f`` computes over leading
+    axes: given points stacked as (..., n), indexing coordinates with
+    ``[..., k]``, it returns its values stacked the same way.  The
+    difference kernel then takes its derivatives by the complex step,
+    with one call on all its complex-step points.
     """
-    if all(getattr(part, _MARK, False) for part in parts):
+    if is_complex_safe(*parts):
         setattr(f, _MARK, True)
     return f
+
+
+def lead_shape(*points):
+    """The leading (stack) shape of points whose last axis holds the
+    coordinates: that of the point with the most axes, against which
+    the others broadcast."""
+    shape = points[0].shape
+    for p in points[1:]:
+        if p.ndim > len(shape):
+            shape = p.shape
+    return shape[:-1]
 
 
 def _central(f, x, stencil, name, direction=None):
@@ -122,16 +143,19 @@ def _central(f, x, stencil, name, direction=None):
     result is the Jacobian, one column per coordinate i along e_i at
     step ``scale * max(1, |x_i|)``; with it, the derivative along
     ``direction`` at step ``scale * max(1, ||x||_inf) / ||direction||_inf``,
-    shaped like f's values.  An ``f`` marked by ``complex_safe`` gets the
-    complex-step row in place of ``stencil``: its one value per
-    direction must be complex, or f has dropped the imaginary part, and
-    its imaginary part over t is the derivative; its real part, f(x),
-    must be finite too.  Each finished derivative must be finite, so a
-    non-finite value at any stencil point raises EvaluationError.
+    shaped like f's values.  ``x`` may be a stack of points (S, n),
+    which gives a stack of Jacobians (S, m, n); an unmarked ``f`` is
+    differentiated one point at a time.  An ``f`` marked by
+    ``complex_safe`` gets the complex-step row instead (``_complex_step``).
+    Each finished derivative must be finite, so a non-finite value at
+    any stencil point raises EvaluationError.
     """
-    complex_step = getattr(f, _MARK, False)
-    scale, offsets, weights, denom = _COMPLEX_STEP if complex_step else stencil
+    if getattr(f, _MARK, False):
+        return _complex_step(f, x, name, direction)
     x = _asvec(x)
+    if x.ndim > 1:
+        return np.stack([_central(f, p, stencil, name, direction) for p in x])
+    scale, offsets, weights, denom = stencil
     if direction is None:
         directions = np.eye(x.size)
         steps = scale * np.maximum(1.0, np.abs(x))
@@ -145,23 +169,71 @@ def _central(f, x, stencil, name, direction=None):
     for i, (d, t) in enumerate(zip(directions, steps)):
         total = None
         for o, w in zip(offsets, weights):
-            value = f(x + (o * t) * d)
-            if complex_step:
-                value = np.asarray(value)
-                if not np.iscomplexobj(value):
-                    raise EvaluationError(
-                        f"complex-safe callable returned real values in {name}, "
-                        f"direction {i}")
-                if i == 0:  # the real part is f(x) in every direction
-                    _check_finite(value.real, f"in {name} at x")
-                value = value.imag
-            term = w * np.asarray(value, dtype=float)
+            term = w * np.asarray(f(x + (o * t) * d), dtype=float)
             total = term if total is None else total + term
         diff = total / (denom * t)
         if not np.all(np.isfinite(diff)):
             raise EvaluationError(f"non-finite value in {name}, direction {i}")
         diffs.append(diff)
     return np.column_stack(diffs) if direction is None else diffs[0]
+
+
+def _complex_step(f, x, name, direction):
+    """``_central``'s complex-step row for a marked ``f``: the derivative
+    along d at step t is ``Im f(x + i t d) / t``, t as in ``_central``
+    at COMPLEX_STEP_SCALE.
+
+    For a Jacobian, the S n points x_s + i t e_k of all S points (one
+    when ``x`` is 1-D) and n directions are stacked on one leading axis
+    and ``f`` is called once on them; its values must come stacked the
+    same way (DomainError otherwise) and complex, or f has dropped the
+    imaginary part (EvaluationError).  The real part of the value along
+    e_0, f(x), must be finite, and so must each derivative: the first
+    point that fails either, in order, raises EvaluationError, as a
+    point-by-point loop would.
+    """
+    x = _asvec(x)
+    if direction is not None:
+        d = _asvec(direction)
+        nd = float(np.max(np.abs(d)))
+        if nd == 0.0:
+            return np.zeros_like(np.asarray(f(x), dtype=float))
+        t = COMPLEX_STEP_SCALE * max(1.0, float(np.max(np.abs(x)))) / nd
+        value = _complex_value(f(x + (1j * t) * d), name)
+        if not np.all(np.isfinite(value.real)):
+            raise EvaluationError(f"non-finite value encountered in {name} at x")
+        diff = value.imag / t
+        if not np.all(np.isfinite(diff)):
+            raise EvaluationError(f"non-finite value in {name}, direction 0")
+        return diff
+    stack = x.reshape(-1, x.shape[-1])
+    count, n = stack.shape
+    steps = COMPLEX_STEP_SCALE * np.maximum(1.0, np.abs(stack))
+    points = stack[:, None, :] + (1j * steps)[:, :, None] * np.eye(n)
+    value = _complex_value(f(points.reshape(count * n, n)), name)
+    if value.shape[:1] != (count * n,):
+        raise DomainError(
+            f"complex-safe callable returned shape {value.shape} for {count * n} "
+            f"points in {name}; it must compute over the leading axis")
+    value = value.reshape(count, n, -1)
+    diff = value.imag / steps[:, :, None]  # (count, direction, component)
+    bad_fx = ~np.isfinite(value[:, 0].real).all(axis=1)
+    bad_diff = ~np.isfinite(diff).all(axis=2)
+    if bad_fx.any() or bad_diff.any():
+        s = int(np.argmax(bad_fx | bad_diff.any(axis=1)))
+        if bad_fx[s]:
+            raise EvaluationError(f"non-finite value encountered in {name} at x")
+        raise EvaluationError(
+            f"non-finite value in {name}, direction {int(np.argmax(bad_diff[s]))}")
+    jac = np.ascontiguousarray(np.swapaxes(diff, 1, 2))
+    return jac if x.ndim > 1 else jac[0]
+
+
+def _complex_value(value, name):
+    value = np.asarray(value)
+    if not np.iscomplexobj(value):
+        raise EvaluationError(f"complex-safe callable returned real values in {name}")
+    return value
 
 
 def fd_jacobian(f, x):
@@ -218,9 +290,10 @@ def fd_mixed_hessian(f, a, b):
 
 
 def antisymmetrize(m):
-    """Antisymmetric part (M - M^T) / 2."""
+    """Antisymmetric part (M - M^T) / 2 of a matrix, or of each matrix of
+    a stack."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m - m.T)
+    return 0.5 * (m - np.swapaxes(m, -1, -2))
 
 
 def lu_solve(a, rhs):

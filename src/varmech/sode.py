@@ -42,11 +42,15 @@ class ExplicitSOdE:
             raise DomainError("dim must be at least 1")
 
     def __call__(self, q0, q1):
-        """``gamma``'s next point, checked for shape; the points and the
-        value keep their dtype, so complex points pass through."""
-        q2 = np.asarray(self.gamma(np.asarray(q0), np.asarray(q1)))
-        if q2.shape != (self.dim,):
-            raise DomainError(f"gamma returned shape {q2.shape}, expected ({self.dim},)")
+        """``gamma``'s next point, one per point of the leading axes,
+        checked for shape; the points and the value keep their dtype, so
+        complex points pass through."""
+        q0 = np.asarray(q0)
+        q1 = np.asarray(q1)
+        q2 = np.asarray(self.gamma(q0, q1))
+        expected = numkit.lead_shape(q0, q1) + (self.dim,)
+        if q2.shape != expected:
+            raise DomainError(f"gamma returned shape {q2.shape}, expected {expected}")
         return q2
 
     def flow(self, q0, q1):
@@ -67,7 +71,9 @@ class ImplicitSOdE:
 
     ``c`` may carry the analytic last-slot Jacobian; otherwise central
     differences are used.  The equation is well posed near points where
-    that matrix is invertible.
+    that matrix is invertible.  A ``phi`` marked by
+    ``numkit.complex_safe`` makes ``tangent_basis`` differentiate it by
+    the complex step.
     """
 
     dim: int
@@ -79,11 +85,16 @@ class ImplicitSOdE:
             raise DomainError("dim must be at least 1")
 
     def __call__(self, q0, q1, q2):
-        val = np.asarray(self.phi(np.asarray(q0, dtype=float),
-                                  np.asarray(q1, dtype=float),
-                                  np.asarray(q2, dtype=float)), dtype=float)
-        if val.shape != (self.dim,):
-            raise DomainError(f"phi returned shape {val.shape}, expected ({self.dim},)")
+        """``phi`` at the triple, one value per point of the leading axes,
+        checked for shape; the points and the value keep their dtype, so
+        complex points pass through."""
+        q0 = np.asarray(q0)
+        q1 = np.asarray(q1)
+        q2 = np.asarray(q2)
+        val = np.asarray(self.phi(q0, q1, q2))
+        expected = numkit.lead_shape(q0, q1, q2) + (self.dim,)
+        if val.shape != expected:
+            raise DomainError(f"phi returned shape {val.shape}, expected {expected}")
         return val
 
     def C(self, q0, q1, q2):
@@ -103,33 +114,35 @@ class ImplicitSOdE:
             raise OffManifold(f"point violates phi = 0 by {res:.3e}")
 
 
-def implicit_step(eq: ImplicitSOdE, q0, q1, guess=None, *, tol: float | None = None):
+def implicit_step(eq: ImplicitSOdE, q0, q1, *, tol: float | None = None):
     """Solve phi(q0, q1, .) = 0 for q2 by Newton.
 
-    The default starting point is the linear predictor 2 q1 - q0, which
-    selects the solution branch connected to uniform motion.  ``tol`` is
-    the Newton tolerance of ``numkit.newton_solve``.
+    The starting point is the linear predictor 2 q1 - q0, which selects
+    the solution branch connected to uniform motion.  ``tol`` is the
+    Newton tolerance of ``numkit.newton_solve``.
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
-    if guess is None:
-        guess = 2.0 * q1 - q0
-    return numkit.newton_solve(lambda q2: eq(q0, q1, q2), guess, tol=tol,
+    return numkit.newton_solve(lambda q2: eq(q0, q1, q2), 2.0 * q1 - q0, tol=tol,
                                jacobian=lambda q2: eq.C(q0, q1, q2))
 
 
 def tangent_basis(eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
     """Bases A, B of the tangent space of {phi = 0} at an on-manifold
     triple, each of shape (n, 3n); row i holds the coefficients of A_i
-    (resp. B_i) in the coordinate frame (q0, q1, q2).  Raises
-    SingularJacobian where C is singular at working precision."""
+    (resp. B_i) in the coordinate frame (q0, q1, q2).  The slot
+    Jacobians of phi come from one difference of the map (q0, q1) ->
+    phi(q0, q1, q2), by the complex step when ``phi`` is complex-safe.
+    Raises SingularJacobian where C is singular at working precision."""
     eq.require_on_manifold(q0, q1, q2, tol)
     n = eq.dim
     cmat = eq.C(q0, q1, q2)
-    j0 = numkit.fd_jacobian(lambda q: eq(q, q1, q2), np.asarray(q0, dtype=float))
-    j1 = numkit.fd_jacobian(lambda q: eq(q0, q, q2), np.asarray(q1, dtype=float))
-    corr0 = numkit.lu_solve(cmat, j0)
-    corr1 = numkit.lu_solve(cmat, j1)
+    q2 = np.asarray(q2, dtype=float)
+    slots = numkit.fd_jacobian(
+        numkit.complex_safe(lambda z: eq(z[..., :n], z[..., n:], q2), eq.phi),
+        np.concatenate([np.asarray(q0, dtype=float), np.asarray(q1, dtype=float)]))
+    corr0 = numkit.lu_solve(cmat, slots[:, :n])
+    corr1 = numkit.lu_solve(cmat, slots[:, n:])
     a = np.zeros((n, 3 * n))
     b = np.zeros((n, 3 * n))
     a[:, :n] = np.eye(n)
@@ -141,9 +154,10 @@ def tangent_basis(eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
 
 def explicit_to_implicit(eq: ExplicitSOdE) -> ImplicitSOdE:
     """Rewrite q2 = gamma(q0, q1) as phi = q2 - gamma(q0, q1) = 0; the
-    last-slot Jacobian is the identity, supplied analytically."""
+    last-slot Jacobian is the identity, supplied analytically.  ``phi``
+    is complex-safe when ``gamma`` is."""
     return ImplicitSOdE(
         dim=eq.dim,
-        phi=lambda q0, q1, q2: np.asarray(q2, dtype=float) - eq(q0, q1),
+        phi=numkit.complex_safe(lambda q0, q1, q2: q2 - eq(q0, q1), eq.gamma),
         c=lambda q0, q1, q2: np.eye(eq.dim),
     )

@@ -24,9 +24,10 @@ can be exercised against hand-checkable numbers:
 
 Builders take keyword parameters (step size and system constants) and
 return small bundles of callables; ``make_system`` looks entries up by
-name for the command line.  Every fiber map and explicit recurrence
-here is marked by ``numkit.complex_safe``, so the checks differentiate
-them by the complex step.
+name for the command line.  Every fiber map and recurrence here is
+marked by ``numkit.complex_safe``, so the checks differentiate them by
+the complex step; like every marked callable they index coordinates
+with ``[..., k]`` and so also take points stacked on leading axes.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def exact_oscillator(h: float = 0.1) -> VariationalSystem:
 
 
 def _rule_trig(rule: DiscretizationRule, phi0, phi1):
-    """Weighted averages of cos and sin at the rule's interior angles."""
+    """Weighted averages of cos and sin at the rule's interior angles,
+    elementwise in stacked angles."""
     cs = 0.0
     sn = 0.0
     for a, b, wt in rule.nodes:
@@ -212,13 +214,15 @@ class RollingDisk:
     def complete_pair(self, rule: DiscretizationRule, q0=None, theta1=None, phi1=None):
         """Fill in (x1, y1) from the discrete constraints given the new
         angles; defaults reproduce the documented initial data.  Given
-        values keep their dtype, so complex points pass through."""
+        values keep their dtype, so complex points pass through, and may
+        be stacked on leading axes."""
         q0 = self.base_point if q0 is None else np.asarray(q0)
         theta1 = self.next_angles[0] if theta1 is None else theta1
         phi1 = self.next_angles[1] if phi1 is None else phi1
-        cs, sn = _rule_trig(rule, q0[1], phi1)
-        dth = theta1 - q0[0]
-        return q0, np.array([theta1, phi1, q0[2] + dth * cs, q0[3] + dth * sn])
+        cs, sn = _rule_trig(rule, q0[..., 1], phi1)
+        dth = theta1 - q0[..., 0]
+        return q0, np.stack([theta1, phi1, q0[..., 2] + dth * cs, q0[..., 3] + dth * sn],
+                            axis=-1)
 
     def reduced_recurrence(self, rule: DiscretizationRule) -> ExplicitSOdE:
         """Closed-form advance on constraint-satisfying pairs.
@@ -231,17 +235,17 @@ class RollingDisk:
         h = self.h
 
         def gamma(q0, q1):
-            dth = q1[0] - q0[0]
-            dph = q1[1] - q0[1]
+            dth = q1[..., 0] - q0[..., 0]
+            dph = q1[..., 1] - q0[..., 1]
             num = 1.0 + sum(wt * np.cos(a * dph) for a, b, wt in rule.nodes)
             den = 1.0 + sum(wt * np.cos(b * dph) for a, b, wt in rule.nodes)
-            if abs(den) < 1e-12:
+            if np.any(np.abs(den) < 1e-12):
                 raise DomainError("degenerate heading increment for this rule")
             dth2 = dth * num / den
-            phi2 = 2 * q1[1] - q0[1]
-            cs, sn = _rule_trig(rule, q1[1], phi2)
-            return np.array([q1[0] + dth2, phi2,
-                             q1[2] + dth2 * cs, q1[3] + dth2 * sn])
+            phi2 = 2 * q1[..., 1] - q0[..., 1]
+            cs, sn = _rule_trig(rule, q1[..., 1], phi2)
+            return np.stack([q1[..., 0] + dth2, phi2,
+                             q1[..., 2] + dth2 * cs, q1[..., 3] + dth2 * sn], axis=-1)
 
         return ExplicitSOdE(dim=4, gamma=complex_safe(gamma))
 
@@ -254,10 +258,9 @@ class RollingDisk:
         advance = self.reduced_recurrence(rule)
 
         def embed(z):
-            q0 = z[:4]
-            q0, q1 = self.complete_pair(rule, q0, z[4], z[5])
+            q0, q1 = self.complete_pair(rule, z[..., :4], z[..., 4], z[..., 5])
             q2 = advance(q0, q1)
-            return np.concatenate([q0, fiber(q0, q1), q1, fiber(q1, q2)])
+            return np.concatenate([q0, fiber(q0, q1), q1, fiber(q1, q2)], axis=-1)
 
         return complex_safe(embed, fiber.func, advance.gamma)
 
@@ -320,18 +323,26 @@ def rolling_disk(h: float = 0.05) -> RollingDisk:
                         + v[0] * (np.cos(q[1]) * v[2] + np.sin(q[1]) * v[3]))
 
     def turn_ratio(q0, q1):
-        dth = q1[0] - q0[0]
-        dph = q1[1] - q0[1]
-        mu = 0.5 * (q0[1] + q1[1])
+        dth = q1[..., 0] - q0[..., 0]
+        dph = q1[..., 1] - q0[..., 1]
+        mu = 0.5 * (q0[..., 1] + q1[..., 1])
         ratio = dth / dph
         second = dph / h - (dth ** 2 / (2 * dph ** 2)) * (1 + np.cos(mu) + np.sin(mu))
-        return np.array([ratio, second, ratio, ratio])
+        return np.stack([ratio, second, ratio, ratio], axis=-1)
+
+    def doubled_rate(q0, q1):
+        dth = q1[..., 0] - q0[..., 0]
+        zero = np.zeros_like(dth)
+        return np.stack([2 * dth / h, (q1[..., 1] - q0[..., 1]) / h, zero, zero], axis=-1)
+
+    def doubled_increment(q0, q1):
+        dth = q1[..., 0] - q0[..., 0]
+        zero = np.zeros_like(dth)
+        return np.stack([2 * dth, q1[..., 1] - q0[..., 1], zero, zero], axis=-1)
 
     fibers = {
-        "doubled-rate": FiberMap(dim=4, func=complex_safe(lambda q0, q1: np.array(
-            [2 * (q1[0] - q0[0]) / h, (q1[1] - q0[1]) / h, 0.0, 0.0]))),
-        "doubled-increment": FiberMap(dim=4, func=complex_safe(lambda q0, q1: np.array(
-            [2 * (q1[0] - q0[0]), q1[1] - q0[1], 0.0, 0.0]))),
+        "doubled-rate": FiberMap(dim=4, func=complex_safe(doubled_rate)),
+        "doubled-increment": FiberMap(dim=4, func=complex_safe(doubled_increment)),
         "turn-ratio": FiberMap(dim=4, func=complex_safe(turn_ratio)),
     }
 
@@ -534,7 +545,7 @@ def exp_recurrence(h: float = 0.1) -> ImplicitRecurrenceSystem:
     be isolated without taking logarithms."""
     eq = ImplicitSOdE(
         dim=1,
-        phi=lambda q0, q1, q2: np.exp(q2 - 2 * q1 + q0) - 1.0,
+        phi=complex_safe(lambda q0, q1, q2: np.exp(q2 - 2 * q1 + q0) - 1.0),
         c=lambda q0, q1, q2: np.exp(q2 - 2 * q1 + q0).reshape(1, 1),
     )
     return ImplicitRecurrenceSystem(

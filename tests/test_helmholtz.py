@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from varmech import helmholtz as hz
 from varmech import numkit, systems
 from varmech.errors import DomainError, EvaluationError, SingularJacobian
 from varmech.lagrangian import DiscreteLagrangian
+from varmech.nonholonomic import rule_from_spec
 from varmech.sode import ExplicitSOdE, ImplicitSOdE, explicit_to_implicit, implicit_step
 
 H = 0.1
@@ -364,6 +366,19 @@ def test_sample_box_fills_interval():
     assert np.max(gaps) < 0.1
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_sample_box_predicate_filters_the_sequence_in_order(dim):
+    # the predicate sees the unfiltered sequence in order and keeps the
+    # first admissible points, however the candidates are blocked
+    pred = lambda p: p[0] * p[-1] > 0.1
+    for count in (1, 7, 40):
+        pts = hz.sample_box(dim, count, seed=3, predicate=pred)
+        seq = hz.sample_box(dim, 100 * count, seed=3)
+        assert np.array_equal(pts, [p for p in seq if pred(p)][:count])
+    assert np.array_equal(hz.sample_box(dim, 9, seed=3, predicate=lambda p: True),
+                          hz.sample_box(dim, 9, seed=3))
+
+
 def test_sample_box_predicate_and_center():
     pred = lambda p: p[0] > 0
     pts = hz.sample_box(2, 10, box=0.5, seed=2, center=[2.0, -1.0], predicate=pred)
@@ -402,12 +417,13 @@ def test_check_dhc_explicit_report_fails_with_worst_point():
     assert len(by_name["dHC1"].worst_point) == 4
 
 
-def _linear_dhc_case(p, q, a, b):
+def _linear_dhc_case(p, q, a, b, marked=False):
     """F = P q0 + Q q1 along q2 = A q1 + B q0, with the exact dHC1-3
     residuals, which are constant: antisym(P), Q + (Q B)^T, antisym(Q A)."""
     n = len(p)
-    fiber = hz.FiberMap(dim=n, func=lambda q0, q1: p @ q0 + q @ q1)
-    eq = ExplicitSOdE(dim=n, gamma=lambda q0, q1: a @ q1 + b @ q0)
+    mark = numkit.complex_safe if marked else (lambda f: f)
+    fiber = hz.FiberMap(dim=n, func=mark(lambda q0, q1: q0 @ p.T + q1 @ q.T))
+    eq = ExplicitSOdE(dim=n, gamma=mark(lambda q0, q1: q1 @ a.T + q0 @ b.T))
     exact = [0.5 * (p - p.T), q + (q @ b).T, 0.5 * (q @ a - (q @ a).T)]
     return fiber, eq, [float(np.max(np.abs(r))) for r in exact]
 
@@ -427,6 +443,17 @@ def test_check_dhc_explicit_passes_every_quadratic_lagrangian(n):
     assert max(c.max_residual for c in report.conditions) < 1e-10
 
 
+def _assert_exact_verdicts(report, exact, eff):
+    """Each condition's sampled maximum is the exact constant residual,
+    and its verdict the exact comparison at the effective tolerance."""
+    for cond, want in zip(report.conditions, exact):
+        assert abs(want - eff) > 1e-9  # no verdict within the residual's error
+        assert abs(cond.max_residual - want) <= 1e-9
+        assert cond.tol == pytest.approx(eff, rel=1e-9)
+        assert cond.passed == (want <= eff)
+    assert report.verdict == all(want <= eff for want in exact)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("tol", [1e-8, 1.0])
 def test_check_dhc_explicit_matches_exact_linear_residuals(n, tol):
@@ -434,13 +461,18 @@ def test_check_dhc_explicit_matches_exact_linear_residuals(n, tol):
     p, q, a, b = rng.normal(size=(4, n, n))
     fiber, eq, exact = _linear_dhc_case(p, q, a, b)
     report = hz.check_dhc_explicit(fiber, eq, hz.sample_box(2 * n, 8, seed=n), tol=tol)
-    eff = tol * max(1.0, np.max(np.abs(p)), np.max(np.abs(q)))
-    for cond, want in zip(report.conditions, exact):
-        assert abs(want - eff) > 1e-9  # no verdict within the residual's error
-        assert abs(cond.max_residual - want) <= 1e-9
-        assert cond.tol == pytest.approx(eff, rel=1e-9)
-        assert cond.passed == (want <= eff)
-    assert report.verdict == all(want <= eff for want in exact)
+    _assert_exact_verdicts(report, exact, tol * max(1.0, np.max(np.abs(p)), np.max(np.abs(q))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("tol", [1e-8, 1.0])
+def test_check_dhc_explicit_on_marked_blocks_matches_exact_linear_residuals(n, tol):
+    # marked parts: the residuals of a block come from one evaluation
+    rng = np.random.default_rng(200 + n)
+    p, q, a, b = rng.normal(size=(4, n, n))
+    fiber, eq, exact = _linear_dhc_case(p, q, a, b, marked=True)
+    report = hz.check_dhc_explicit(fiber, eq, hz.sample_box(2 * n, 8, seed=n), tol=tol)
+    _assert_exact_verdicts(report, exact, tol * max(1.0, np.max(np.abs(p)), np.max(np.abs(q))))
 
 
 def _linear_isotropy_case(p, q, a, b, marked):
@@ -451,8 +483,9 @@ def _linear_isotropy_case(p, q, a, b, marked):
     R = P + QA."""
     n = len(p)
     mark = numkit.complex_safe if marked else (lambda f: f)
-    fiber = hz.FiberMap(dim=n, func=mark(lambda q0, q1: p @ q0 + q @ q1))
-    eq = ExplicitSOdE(dim=n, gamma=mark(lambda q0, q1: a @ q1 + b @ q0))
+    # q0 @ P' is P q0 for each point of a stack, as a marked map must be
+    fiber = hz.FiberMap(dim=n, func=mark(lambda q0, q1: q0 @ p.T + q1 @ q.T))
+    eq = ExplicitSOdE(dim=n, gamma=mark(lambda q0, q1: q1 @ a.T + q0 @ b.T))
     c, r = q + (q @ b).T, p + q @ a
     pulled = np.block([[p - p.T, c], [-c.T, r.T - r]])
     size = max(1.0, *(float(np.max(np.abs(m))) for m in (p, q, q @ b, r)))
@@ -493,6 +526,49 @@ def test_check_isotropy_matches_exact_linear_pullback(n, tol, marked):
     assert cond.max_residual == pytest.approx(exact, rel=1e-9)
     assert cond.tol == pytest.approx(eff, rel=1e-9)
     assert report.verdict == cond.passed == (exact <= eff)
+
+
+def _linear_implicit_case(p, q, a, b, marked):
+    """F = P q0 + Q q1 along phi = q2 - A q1 - B q0 = 0, with the exact
+    residuals of ``dhc_implicit``, which are constant.  The tangent basis
+    of {phi = 0} is A_i = (e_i, 0, B e_i), B_i = (0, e_i, A e_i), so the
+    first two blocks are dhc_explicit's, antisym(P) and Q + (Q B)^T, and
+    the unreduced third one is antisym(P + Q A)."""
+    n = len(p)
+    mark = numkit.complex_safe if marked else (lambda f: f)
+    fiber = hz.FiberMap(dim=n, func=mark(lambda q0, q1: q0 @ p.T + q1 @ q.T))
+    eq = ImplicitSOdE(dim=n, phi=mark(lambda q0, q1, q2: q2 - q1 @ a.T - q0 @ b.T),
+                      c=lambda q0, q1, q2: np.eye(n))
+    r = p + q @ a
+    exact = [0.5 * (p - p.T), q + (q @ b).T, 0.5 * (r - r.T)]
+    return fiber, eq, [float(np.max(np.abs(m))) for m in exact]
+
+
+@pytest.mark.parametrize("marked", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_dhc_implicit_passes_every_quadratic_lagrangian(n, marked):
+    # the data of test_check_dhc_explicit_passes_every_quadratic_lagrangian
+    rng = np.random.default_rng(100 + n)
+    s0, s1 = (m + m.T for m in rng.normal(size=(2, n, n)))
+    k = rng.normal(size=(n, n)) + n * np.eye(n)
+    k_inv = np.linalg.inv(k)
+    fiber, eq, exact = _linear_implicit_case(-s0, -k, -k_inv @ (s0 + s1),
+                                             -k_inv @ k.T, marked)
+    assert max(exact) < 1e-12
+    report = hz.check_dhc_implicit(fiber, eq, hz.sample_box(2 * n, 8, seed=n), tol=1e-8)
+    assert report.verdict
+    assert max(c.max_residual for c in report.conditions) < (1e-13 if marked else 1e-9)
+
+
+@pytest.mark.parametrize("marked", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("tol", [1e-8, 1.0])
+def test_check_dhc_implicit_matches_exact_linear_residuals(n, tol, marked):
+    rng = np.random.default_rng(400 + n)
+    p, q, a, b = rng.normal(size=(4, n, n))
+    fiber, eq, exact = _linear_implicit_case(p, q, a, b, marked)
+    report = hz.check_dhc_implicit(fiber, eq, hz.sample_box(2 * n, 8, seed=n), tol=tol)
+    _assert_exact_verdicts(report, exact, tol * max(1.0, np.max(np.abs(p)), np.max(np.abs(q))))
 
 
 def test_check_dhc_implicit_report():
@@ -678,3 +754,95 @@ def test_condition_report_json_layout():
     assert list(doc["conditions"][0].keys()) == [
         "name", "max_residual", "worst_point", "tol", "pass"]
     assert report.to_json() == report.to_json()
+
+
+# ---------------------------------------------------------------------------
+# blocks of samples
+
+
+def _point_by_point(monkeypatch, run):
+    """``run()``'s report with ``_sampled_check`` taking one point per block."""
+    with monkeypatch.context() as patch:
+        patch.setattr(hz, "SAMPLE_CHUNK", 1)
+        return run()
+
+
+@pytest.mark.parametrize("which", ["turn-ratio", "doubled-rate", "dhc-explicit"])
+def test_blocks_match_point_by_point_reference(monkeypatch, which):
+    count = hz.SAMPLE_CHUNK + 3
+    if which == "dhc-explicit":
+        bundle = systems.make_system("harmonic-exact")
+        run = lambda: hz.check_dhc_explicit(bundle.fiber, bundle.recurrence,
+                                            hz.sample_box(2, count, seed=5), tol=1e-8)
+    else:
+        disk = systems.make_system("rolling-disk")
+        embed = disk.chart_embedding(disk.fibers[which], rule_from_spec("euler-a"))
+        run = lambda: hz.check_isotropy(embed, disk.chart_samples(count, seed=5))
+    assert run().to_json() == _point_by_point(monkeypatch, run).to_json()
+
+
+def test_worst_point_tie_across_a_block_boundary_goes_to_the_later_point(monkeypatch):
+    # F = (k x0^2) at the second copy: the pullback's only entry is
+    # 2 k x0, so the points (+c, .) and (-c, .) tie exactly
+    k = 3.0
+    embed = numkit.complex_safe(lambda z: np.stack(
+        [z[..., 0], 0.0 * z[..., 1], z[..., 1], k * z[..., 0] * z[..., 0]], axis=-1))
+    chunk = hz.SAMPLE_CHUNK
+    samples = hz.sample_box(2, chunk + 3, box=0.5, seed=2)
+    samples[chunk - 1] = [0.75, 0.1]
+    samples[chunk] = [-0.75, 0.2]
+    run = lambda: hz.check_isotropy(embed, samples, tol=1e-6)
+    report = run()
+    cond = report.conditions[0]
+    assert cond.max_residual == 2 * k * 0.75
+    assert cond.worst_point == [-0.75, 0.2]
+    assert cond.tol == 1e-6 * (2 * k * 0.75) ** 2
+    assert report.to_json() == _point_by_point(monkeypatch, run).to_json()
+
+
+def test_nan_in_a_later_block_names_the_first_bad_point(monkeypatch):
+    chunk = hz.SAMPLE_CHUNK
+    samples = hz.sample_box(2, chunk + 3, seed=4)
+    nan_at, raise_at = samples[chunk + 1], samples[chunk + 2]
+
+    def g(x, y):
+        if x == nan_at[0] and y == nan_at[1]:
+            return float("nan")
+        if x == raise_at[0] and y == raise_at[1]:
+            raise EvaluationError("g failed")
+        return x - y
+
+    # the point after the NaN raises: the first bad point still decides
+    run = lambda: hz.check_functional(lambda x, y: x, g, samples, fx=lambda x, y: 1.0)
+    message = re.escape(f"functional: non-finite functional at point {nan_at.tolist()}")
+    with pytest.raises(EvaluationError, match=message):
+        run()
+    with pytest.raises(EvaluationError, match=message):
+        _point_by_point(monkeypatch, run)
+
+
+def test_nan_in_a_later_block_of_a_batched_check_raises_as_point_by_point(monkeypatch):
+    chunk = hz.SAMPLE_CHUNK
+    samples = hz.sample_box(2, chunk + 3, seed=4)
+    samples[chunk + 1, 0] = np.nan
+    embed = hz.gamma_embedding(hz.FiberMap(dim=1, func=numkit.complex_safe(
+        lambda q0, q1: (q1 - q0) / H)), ExplicitSOdE(dim=1, gamma=numkit.complex_safe(
+            lambda q0, q1: 2 * q1 - q0)))
+    run = lambda: hz.check_isotropy(embed, samples)
+    with pytest.raises(EvaluationError) as batched:
+        run()
+    with pytest.raises(EvaluationError) as reference:
+        _point_by_point(monkeypatch, run)
+    assert str(batched.value) == str(reference.value)
+
+
+def test_marked_fiber_map_that_ignores_the_leading_axis_raises():
+    # written for one point: q1[0] is the first stacked point, not x1
+    fiber = hz.FiberMap(dim=1, func=numkit.complex_safe(
+        lambda q0, q1: np.array([q1[0] - q0[0]]) / H))
+    eq = ExplicitSOdE(dim=1, gamma=numkit.complex_safe(lambda q0, q1: 2 * q1 - q0))
+    samples = hz.sample_box(2, 5, seed=0)
+    with pytest.raises(DomainError, match="fiber map returned shape"):
+        hz.check_isotropy(hz.gamma_embedding(fiber, eq), samples)
+    with pytest.raises(DomainError, match="fiber map returned shape"):
+        hz.check_dhc_explicit(fiber, eq, samples)

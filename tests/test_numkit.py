@@ -73,7 +73,10 @@ def test_fd_directional4_rejects_nan_at_inner_point():
 
 
 def test_complex_step_is_exact_where_the_stencil_is_not():
-    f = lambda z: np.array([np.exp(z[0]) * np.sin(z[1]), z[0] * z[1] ** 3])
+    # marked callables index coordinates with [..., k]: they also take
+    # points stacked on leading axes
+    f = lambda z: np.stack([np.exp(z[..., 0]) * np.sin(z[..., 1]),
+                            z[..., 0] * z[..., 1] ** 3], axis=-1)
     x = np.array([0.3, -1.7])
     exact = [[np.exp(0.3) * np.sin(-1.7), np.exp(0.3) * np.cos(-1.7)],
              [(-1.7) ** 3, 3 * 0.3 * (-1.7) ** 2]]
@@ -81,6 +84,49 @@ def test_complex_step_is_exact_where_the_stencil_is_not():
     marked = numkit.fd_jacobian4(numkit.complex_safe(f), x)
     assert np.max(np.abs(order4 - exact)) > 1e-14
     assert_allclose(marked, exact, rtol=4 * numkit.EPS, atol=0)
+
+
+def test_jacobian_of_a_stack_is_the_stack_of_jacobians():
+    f = lambda z: np.stack([np.exp(z[..., 0]) * np.sin(z[..., 1]),
+                            z[..., 0] * z[..., 1] ** 3, z[..., 1]], axis=-1)
+    calls = []
+    marked = numkit.complex_safe(lambda z: calls.append(z.shape) or f(z))
+    xs = np.array([[0.3, -1.7], [2.0, 0.5], [-40.0, 1e-3], [0.0, 0.0]])
+    for g in (marked, f):
+        for fd in (numkit.fd_jacobian, numkit.fd_jacobian4):
+            stacked = fd(g, xs)
+            assert stacked.shape == (4, 3, 2)
+            for x, jac in zip(xs, stacked):
+                assert fd(g, x).tobytes() == jac.tobytes()
+    # a marked callable gets all complex-step points of a stack at once
+    calls.clear()
+    numkit.fd_jacobian4(marked, xs)
+    assert calls == [(8, 2)]
+
+
+def test_complex_step_that_ignores_the_leading_axis_raises():
+    # written for one point: z[0] is the first stacked point, not x_0
+    f = numkit.complex_safe(lambda z: np.array([z[0] * z[1]]))
+    with pytest.raises(DomainError, match="leading axis"):
+        numkit.fd_jacobian4(f, np.array([[0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]))
+
+
+def test_complex_step_of_a_stack_names_the_first_bad_point():
+    # NaN in f(x) only at x_0 = 2, in the derivative along e_1 only at
+    # x_0 = 3: the earlier of the two points raises, as it would one
+    # point at a time
+    def f(z):
+        out = z * z
+        x0 = z.real[..., 0]
+        out[x0 == 2.0] = complex(np.nan, 0.0)
+        out[(x0 == 3.0) & (z.imag[..., 1] != 0)] = complex(0.0, np.nan)
+        return out
+
+    g = numkit.complex_safe(f)
+    with pytest.raises(EvaluationError, match="at x"):
+        numkit.fd_jacobian4(g, np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+    with pytest.raises(EvaluationError, match="direction 1"):
+        numkit.fd_jacobian4(g, np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]]))
 
 
 def test_complex_step_directional_derivative():

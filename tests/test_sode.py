@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from varmech import sode
+from varmech import numkit, sode, systems
 from varmech.errors import DomainError, OffManifold, SingularJacobian
 
 
@@ -126,3 +126,40 @@ def test_explicit_to_implicit_round_trip():
     assert_allclose(imp(q0, q1, expected), [0.0], atol=1e-14)
     assert_allclose(sode.implicit_step(imp, q0, q1), expected, atol=1e-12)
     assert_allclose(imp.C(q0, q1, expected), np.eye(1))
+
+
+def test_tangent_basis_of_a_complex_safe_phi_is_exact():
+    # exp-recurrence's phi = exp(q2 - 2 q1 + q0) - 1 is marked, so its
+    # slot Jacobians come from the complex step: A = (1, 0, -1) and
+    # B = (0, 1, 2) to rounding, where the order-2 stencil is off by
+    # 1e-11 to 3e-10
+    eq = systems.make_system("exp-recurrence").equation
+    assert numkit.is_complex_safe(eq.phi)
+    plain = sode.ImplicitSOdE(dim=1, phi=lambda *q: eq.phi(*q), c=eq.c)
+    for x0, x1 in [(0.3, -0.4), (-0.9, 0.65), (2.5, 2.0)]:
+        q0, q1 = np.array([x0]), np.array([x1])
+        q2 = sode.implicit_step(eq, q0, q1)
+        a, b = sode.tangent_basis(eq, q0, q1, q2)
+        assert_allclose(a, [[1.0, 0.0, -1.0]], rtol=0, atol=4 * numkit.EPS)
+        assert_allclose(b, [[0.0, 1.0, 2.0]], rtol=0, atol=8 * numkit.EPS)
+        a_fd, b_fd = sode.tangent_basis(plain, q0, q1, q2)
+        assert_allclose(a_fd, a, rtol=0, atol=1e-9)
+        assert_allclose(b_fd, b, rtol=0, atol=1e-9)
+
+
+def test_explicit_to_implicit_inherits_the_mark():
+    marked = sode.ExplicitSOdE(dim=1, gamma=numkit.complex_safe(lambda a, b: 2 * b - a))
+    plain = sode.ExplicitSOdE(dim=1, gamma=lambda a, b: 2 * b - a)
+    assert numkit.is_complex_safe(sode.explicit_to_implicit(marked).phi)
+    assert not numkit.is_complex_safe(sode.explicit_to_implicit(plain).phi)
+
+
+def test_implicit_equation_takes_stacked_points():
+    eq = systems.make_system("exp-recurrence").equation
+    z = np.array([[0.1, 0.3, 0.5], [0.2, 0.2, 0.3]])
+    values = eq(z[:, :1], z[:, 1:2], z[:, 2:])
+    assert values.shape == (2, 1)
+    assert_allclose(values[:, 0], np.exp(z[:, 2] - 2 * z[:, 1] + z[:, 0]) - 1.0)
+    with pytest.raises(DomainError, match=r"phi returned shape \(1,\), expected \(2, 1\)"):
+        sode.ImplicitSOdE(dim=1, phi=lambda a, b, c: np.zeros(1))(z[:, :1], z[:, 1:2],
+                                                                  z[:, 2:])

@@ -248,7 +248,7 @@ def test_marked_catalogue_callables_are_analytic(label, func, points):
     # chart points with a phi increment near 0.1.
     assert getattr(func, "complex_safe", False), label
     n = points.shape[1] // 2
-    pair = numkit.complex_safe(lambda z: func(z[:n], z[n:]))
+    pair = numkit.complex_safe(lambda z: func(z[..., :n], z[..., n:]))
     for z in points:
         order4 = 10.0 * numkit.fd_jacobian4(lambda y: pair(z + y / 10.0), np.zeros(2 * n))
         step = numkit.fd_jacobian4(pair, z)
