@@ -33,27 +33,34 @@ The sampled verdicts (``check_dhc_explicit``, ``check_dhc_implicit``,
 ``check_functional``) each supply a residual function to one sample
 loop, ``_sampled_check``, which walks the samples in blocks of at most
 SAMPLE_CHUNK points, keeps the worst residual and point per condition
-and applies the scaled tolerance.  Isotropy and dhc-explicit evaluate
-a whole block at once: their embeddings and slot maps, built from
-complex-safe callables, compute over a leading axis, so one call
-covers every complex-step point of the block.  The other checks run
-their per-point function on each point of a block.
+and applies the scaled tolerance.  Isotropy, dhc-explicit,
+dhc-implicit, ihc and two-form evaluate a whole block at once when
+their callables are complex-safe: embeddings, slot maps, implicit
+equations and two-form fields built from them compute over a leading
+axis, so one call covers every complex-step point of the block.  Only
+Newton solves stay per point: the third member of dhc-implicit's
+triples and ihc's accelerations.  Two-form takes blocks in any case,
+evaluating and differentiating an unmarked field one point at a time
+inside them; the other checks on unmarked callables, chc and
+functional run a per-point function on each point of a block.
 
 All residuals here are exact zeros for variational data, so any value
-above the derivatives' noise floor is meaningful.  Isotropy,
-dhc-explicit and dhc-implicit take the first derivatives of embeddings
-and fiber maps; built from callables marked by ``numkit.complex_safe``
-(as every catalogue fiber map and recurrence is), those derivatives
-come from the complex step and are exact to rounding, so their
-residuals sit at rounding level (about 1e-15 relative).  Unmarked
-callables, the nested differences of chc and ihc, the two-form checks
-and the order-2 tangent basis keep the difference stencils, whose
-floor is about 1e-10.  Every function is pure, so evaluating a block
-at once gives the residuals of evaluating its points one by one.
+above the derivatives' noise floor is meaningful.  The first
+derivatives of embeddings, fiber maps, implicit equations and two-form
+fields built from callables marked by ``numkit.complex_safe`` (as every
+catalogue fiber map and recurrence is) come from the complex step and
+are exact to rounding, so their residuals sit at rounding level (about
+1e-15 relative).  ihc's time derivative of the momentum Jacobian is
+the order-4 stencil applied to the complex-step Jacobian, since one
+complex step cannot be nested in another.  Unmarked callables and the
+nested differences of chc keep the difference stencils, whose floor
+is about 1e-10.  Every function is pure, so evaluating a block at once
+gives the residuals of evaluating its points one by one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable
@@ -61,13 +68,17 @@ from typing import Callable
 import numpy as np
 
 from . import numkit
-from .errors import DomainError, EvaluationError, SingularJacobian
+from .errors import DomainError, EvaluationError, NumericsError, SingularJacobian
 from .sode import ExplicitSOdE, ImplicitSOdE, implicit_step, tangent_basis
 
 # Most sample points a check evaluates at once, which bounds the
 # temporaries of a block: the stacked complex-step points and the
-# values and Jacobians of its embeddings.
-SAMPLE_CHUNK = 256
+# values and Jacobians of its embeddings.  The largest are the two-form
+# check's: an m-by-m field at m complex points per sample, 0.5 MB of
+# values for 64 samples of the extended disk (m = 8).  Blocks of 256
+# made a verdict-sweep round a few percent faster but raised its peak
+# RSS by 2 MiB (two shared x86-64 cores, numpy 2.4).
+SAMPLE_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +276,7 @@ def _dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, q0, q1):
         numkit.complex_safe(lambda zz: eq(zz[..., :n], zz[..., n:]), eq.gamma), z)
     g0, g1 = jg[..., :n], jg[..., n:]
     r1 = numkit.antisymmetrize(m1)
-    r2 = m2 + np.swapaxes(n2 @ g0, -1, -2)
+    r2 = m2 + _transpose(n2 @ g0)
     r3 = numkit.antisymmetrize(n2 @ g1)
     size = np.maximum(np.abs(m1).max(axis=(-2, -1)), np.abs(m2).max(axis=(-2, -1)))
     return (r1, r2, r3), size
@@ -280,7 +291,7 @@ def _triple_embedding(fiber: FiberMap, q0, q1, q2):
         return np.concatenate([a, fiber(a, b), b, fiber(b, c)], axis=-1)
 
     z = np.concatenate([np.asarray(q0, dtype=float), np.asarray(q1, dtype=float),
-                        np.asarray(q2, dtype=float)])
+                        np.asarray(q2, dtype=float)], axis=-1)
     return numkit.complex_safe(embed, fiber.func), z
 
 
@@ -303,18 +314,21 @@ def dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-
 
 def _dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
     """``dhc_implicit``'s residuals and the largest entry of dF at
-    (q0, q1), read off the fiber block of the triple Jacobian."""
+    (q0, q1), read off the fiber block of the triple Jacobian; stacked
+    triples (S, n), which need a complex-safe fiber map and phi, give
+    stacks of both."""
     if fiber.kind != "minus":
         raise DomainError("dhc_implicit needs a minus-type fiber map")
     n = fiber.dim
     a, b = tangent_basis(eq, q0, q1, q2, tol)
     embed, z = _triple_embedding(fiber, q0, q1, q2)
     jac = numkit.fd_jacobian4(embed, z)
-    w = jac.T @ pair_omega_matrix(n) @ jac
-    r1 = 0.5 * (a @ w @ a.T)
-    r2 = a @ w @ b.T
-    r3 = -0.5 * (b @ w @ b.T)
-    return (r1, r2, r3), float(np.max(np.abs(jac[n : 2 * n, : 2 * n])))
+    w = _transpose(jac) @ pair_omega_matrix(n) @ jac
+    at, bt = _transpose(a), _transpose(b)
+    r1 = 0.5 * (a @ w @ at)
+    r2 = a @ w @ bt
+    r3 = -0.5 * (b @ w @ bt)
+    return (r1, r2, r3), np.abs(jac[..., n : 2 * n, : 2 * n]).max(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +380,7 @@ def _pullback(embedding: Callable, z, ambient):
         if rows % 4 != 0:
             raise DomainError("ambient dimension must be a multiple of 4")
         ambient = pair_omega_matrix(rows // 4)
-    return jac, np.swapaxes(jac, -1, -2) @ np.asarray(ambient, dtype=float) @ jac
+    return jac, _transpose(jac) @ np.asarray(ambient, dtype=float) @ jac
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +390,27 @@ def _pullback(embedding: Callable, z, ambient):
 @dataclass
 class TwoFormField:
     """A two-form on an m-dimensional chart, given by its coefficient
-    matrix field z -> W(z) with W antisymmetric, Omega(u, v) = u^T W v."""
+    matrix field z -> W(z) with W antisymmetric, Omega(u, v) = u^T W v.
+    A ``coeff`` marked by ``numkit.complex_safe`` also takes points
+    stacked on leading axes, so ``check_two_form`` differentiates it at
+    a whole block of samples in one call."""
 
     dim: int
     coeff: Callable
 
     def __call__(self, z):
-        w = np.asarray(self.coeff(np.asarray(z, dtype=float)), dtype=float)
-        if w.shape != (self.dim, self.dim):
-            raise DomainError(f"coefficient field returned shape {w.shape}")
+        """``coeff``'s matrix at z, one per point of the leading axes,
+        checked for shape; the point and the value keep their dtype, so
+        complex points pass through.  An unmarked ``coeff`` is called
+        once per point of a stack."""
+        z = np.asarray(z)
+        if z.ndim > 1 and not numkit.is_complex_safe(self.coeff):
+            return np.stack([self(p) for p in z])
+        w = np.asarray(self.coeff(z))
+        expected = z.shape[:-1] + (self.dim, self.dim)
+        if w.shape != expected:
+            raise DomainError(f"coefficient field returned shape {w.shape}, "
+                              f"expected {expected}")
         return w
 
     @staticmethod
@@ -394,10 +420,14 @@ class TwoFormField:
 
     @staticmethod
     def from_lagrangian(lag):
-        """The pair-space two-form of a discrete Lagrangian."""
-        from .lagrangian import lagrangian_two_form
+        """The pair-space two-form of a discrete Lagrangian; complex-safe,
+        and so computed over leading axes, when ``lag.d12`` is."""
+        from .lagrangian import lagrangian_two_form, pair_form_matrix
 
         n = lag.dim
+        if numkit.is_complex_safe(lag.d12):
+            return TwoFormField(dim=2 * n, coeff=numkit.complex_safe(
+                lambda z: pair_form_matrix(lag.d12(z[..., :n], z[..., n:]))))
         return TwoFormField(
             dim=2 * n,
             coeff=lambda z: lagrangian_two_form(lag, z[:n], z[n:]),
@@ -408,7 +438,10 @@ def two_form_checks(omega: TwoFormField, z, flow: Callable | None = None,
                     n_vertical: int | None = None, kernel: str = "second"):
     """Pointwise diagnostics of a two-form field at z.
 
-    Returns a dict with:
+    Points stacked on a leading axis (S, m) give one array of S values
+    per entry instead of floats; unmarked callables are then evaluated
+    and differentiated one point at a time, complex-safe ones at all
+    points at once.  Returns a dict with:
         closure: max over index triples of the cyclic derivative sum
             (zero iff the form is closed);
         vertical: max entry of the block on the kernel subspace of the
@@ -427,31 +460,35 @@ def two_form_checks(omega: TwoFormField, z, flow: Callable | None = None,
     if kernel not in ("first", "second"):
         raise DomainError("kernel must be 'first' or 'second'")
     w = omega(z)
+    lead = z.shape[:-1]
+    zero = np.zeros(lead)
 
-    grad = numkit.fd_jacobian4(lambda zz: omega(zz).ravel(), z)  # (m*m, m)
-    closure = 0.0
-    for a in range(m):
-        for b in range(a + 1, m):
-            for c in range(b + 1, m):
-                total = grad[b * m + c, a] + grad[c * m + a, b] + grad[a * m + b, c]
-                closure = max(closure, abs(total))
+    flat = numkit.complex_safe(lambda zz: omega(zz).reshape(zz.shape[:-1] + (m * m,)),
+                               omega.coeff)
+    grad = numkit.fd_jacobian4(flat, z)  # (..., m*m, m)
+    # the cyclic sums over all index triples a < b < c
+    triples = np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp)
+    a, b, c = triples.reshape(-1, 3).T
+    total = grad[..., b * m + c, a] + grad[..., c * m + a, b] + grad[..., a * m + b, c]
 
     vert = slice(m - n_vertical, m) if kernel == "second" else slice(0, n_vertical)
-    vertical = float(np.max(np.abs(w[vert, vert]))) if n_vertical else 0.0
-
     out = {
-        "closure": closure,
-        "vertical": vertical,
-        "magnitude": float(np.max(np.abs(w))),
-        "abs_det": abs(float(np.linalg.det(w))),
-        "flat_sigma": float(np.linalg.svd(w[vert, :], compute_uv=False)[-1])
+        "closure": np.abs(total).max(axis=-1, initial=0.0),
+        "vertical": np.abs(w[..., vert, vert]).max(axis=(-2, -1)) if n_vertical else zero,
+        "magnitude": np.abs(w).max(axis=(-2, -1)),
+        "abs_det": np.abs(np.linalg.det(w)),
+        "flat_sigma": np.linalg.svd(w[..., vert, :], compute_uv=False)[..., -1]
         if n_vertical
-        else 0.0,
+        else zero,
     }
     if flow is not None:
         jac = numkit.fd_jacobian4(flow, z)
-        pulled = jac.T @ omega(np.asarray(flow(z), dtype=float)) @ jac
-        out["lie"] = float(np.max(np.abs(pulled - w)))
+        image = (flow(z) if not lead or numkit.is_complex_safe(flow)
+                 else np.stack([flow(p) for p in z]))
+        pulled = _transpose(jac) @ omega(np.asarray(image, dtype=float)) @ jac
+        out["lie"] = np.abs(pulled - w).max(axis=(-2, -1))
+    if not lead:
+        out = {key: float(value) for key, value in out.items()}
     return out
 
 
@@ -462,18 +499,31 @@ def two_form_checks(omega: TwoFormField, z, flow: Callable | None = None,
 @dataclass
 class ImplicitODE:
     """Continuous implicit second-order equation phi(q, qdot, qddot) = 0
-    with optional analytic acceleration Jacobian ``c``."""
+    with optional analytic acceleration Jacobian ``c``.  A ``phi`` (and
+    ``c``) marked by ``numkit.complex_safe`` also takes points stacked
+    on leading axes, and ``check_ihc`` then evaluates a block of samples
+    at once."""
 
     dim: int
     phi: Callable
     c: Callable | None = None
 
     def __call__(self, q, qd, qdd):
-        return np.asarray(self.phi(np.asarray(q, dtype=float),
-                                   np.asarray(qd, dtype=float),
-                                   np.asarray(qdd, dtype=float)), dtype=float)
+        """``phi`` at (q, qd, qdd), one value per point of the leading
+        axes, checked for shape; the points and the value keep their
+        dtype, so complex points pass through."""
+        q = np.asarray(q)
+        qd = np.asarray(qd)
+        qdd = np.asarray(qdd)
+        val = np.asarray(self.phi(q, qd, qdd))
+        expected = numkit.lead_shape(q, qd, qdd) + (self.dim,)
+        if val.shape != expected:
+            raise DomainError(f"phi returned shape {val.shape}, expected {expected}")
+        return val
 
     def C(self, q, qd, qdd):
+        """Jacobian of phi in the acceleration slot: the analytic ``c``
+        when given, else order-4 differences at one point."""
         if self.c is not None:
             return np.asarray(self.c(q, qd, qdd), dtype=float)
         return numkit.fd_jacobian4(lambda a: self(q, qd, a), np.asarray(qdd, dtype=float))
@@ -521,33 +571,49 @@ def chc_implicit(fiber: Callable, ode: ImplicitODE, q, qd, qdd=None):
     classical test this never needs the equation solved for qddot in
     closed form, only the acceleration Jacobian C, which must be
     regular (SingularJacobian otherwise).
+
+    Points stacked on a leading axis (S, n), which need a complex-safe
+    ``fiber``, ``phi`` and ``c`` (when given), give stacks of the
+    residuals; their accelerations are still solved one point at a
+    time.  The first derivatives of F and phi are then complex steps,
+    and the time derivative of F's Jacobian is the order-4 stencil
+    along (qd, qdd) applied to the complex-step Jacobian (a complex
+    step cannot be nested in another), at all stencil points at once.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     qd = np.atleast_1d(np.asarray(qd, dtype=float))
-    n = q.size
+    n = q.shape[-1]
     if qdd is None:
-        qdd = ode.solve_acceleration(q, qd)
+        qdd = (ode.solve_acceleration(q, qd) if q.ndim == 1 else
+               np.stack([ode.solve_acceleration(a, b) for a, b in zip(q, qd)]))
     qdd = np.atleast_1d(np.asarray(qdd, dtype=float))
 
-    z = np.concatenate([q, qd])
-    zdot = np.concatenate([qd, qdd])
-    flat = lambda zz: np.asarray(fiber(zz[:n], zz[n:]), dtype=float)
+    z = np.concatenate([q, qd], axis=-1)
+    zdot = np.concatenate([qd, qdd], axis=-1)
+    flat = numkit.complex_safe(lambda zz: fiber(zz[..., :n], zz[..., n:]), fiber)
     jac = numkit.fd_jacobian4(flat, z)
-    fq, fd = jac[:, :n], jac[:, n:]
+    fq, fd = jac[..., :n], jac[..., n:]
     dt_jac = numkit.fd_directional4(lambda zz: numkit.fd_jacobian4(flat, zz), z, zdot)
-    dt_fq, dt_fd = dt_jac[:, :n], dt_jac[:, n:]
+    dt_fq, dt_fd = dt_jac[..., :n], dt_jac[..., n:]
 
-    cmat = ode.C(q, qd, qdd)
-    phi_flat = lambda zz: np.asarray(ode(zz[:n], zz[n:], qdd), dtype=float)
-    jphi = numkit.fd_jacobian4(phi_flat, z)
-    jq, jd = jphi[:, :n], jphi[:, n:]
-    fd_cinv = numkit.lu_solve(cmat.T, fd.T).T  # Fd @ C^{-1}
+    # phi's Jacobian in all three slots; its last block is C unless c is given
+    jphi = numkit.fd_jacobian4(numkit.complex_safe(
+        lambda zz: ode(zz[..., :n], zz[..., n:2 * n], zz[..., 2 * n:]), ode.phi),
+        np.concatenate([z, qdd], axis=-1))
+    jq, jd = jphi[..., :n], jphi[..., n:2 * n]
+    cmat = jphi[..., 2 * n:] if ode.c is None else ode.C(q, qd, qdd)
+    fd_cinv = _transpose(numkit.lu_solve(_transpose(cmat), _transpose(fd)))  # Fd @ C^{-1}
 
-    r1 = fd - fd.T
-    r2 = dt_fd + fq - fq.T - fd_cinv @ jd
+    r1 = fd - _transpose(fd)
+    r2 = dt_fd + fq - _transpose(fq) - fd_cinv @ jd
     r3m = dt_fq - fd_cinv @ jq
-    r3 = r3m - r3m.T
+    r3 = r3m - _transpose(r3m)
     return r1, r2, r3
+
+
+def _transpose(m):
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(m, -1, -2)
 
 
 def functional_residual_1d(f: Callable, g: Callable, points, fx: Callable | None = None):
@@ -646,14 +712,15 @@ def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float
     point, since it could neither pass nor fail.  The first bad point
     in sample order decides the error, as in a point-by-point loop: a
     block whose evaluation raises is evaluated again one point at a
-    time.
+    time, and a NumericsError of one point's evaluation gets the check
+    and the point added to its message.
     """
     if len(points) == 0 or np.size(points[0]) == 0:  # atleast_2d([]) is one empty point
         raise DomainError(f"{check} needs at least one sample point")
     worst = [0.0] * len(names)
     worst_point = [points[0]] * len(names)
     scale = 1.0
-    for block, (residuals, sizes) in _blocks(residuals_at, points):
+    for block, (residuals, sizes) in _blocks(check, residuals_at, points):
         count = len(block)
         sizes = np.asarray(sizes, dtype=float)
         mags = np.array([np.abs(np.reshape(r, (count, -1))).max(axis=1)
@@ -673,31 +740,36 @@ def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float
     eff = tol * max(1.0, scale)
     report = ConditionReport(check=check, system=system, params=params or {})
     report.conditions = [
-        ConditionResult(name=name, max_residual=mag,
-                        worst_point=[float(v) for v in np.atleast_1d(z)],
+        ConditionResult(name=name, max_residual=mag, worst_point=_coords(z),
                         tol=eff, passed=mag <= eff)
         for name, mag, z in zip(names, worst, worst_point)
     ]
     return report
 
 
-def _blocks(residuals_at: Callable, points):
+def _blocks(check: str, residuals_at: Callable, points):
     """(block, residuals_at(block)) over ``points`` in blocks of at most
     SAMPLE_CHUNK; a block that raises is redone in blocks of one, so the
     first point that raises, or that has a non-finite residual, in
-    sample order decides the error."""
+    sample order decides the error.  A NumericsError raised at one
+    point names the check and the point."""
     for start in range(0, len(points), SAMPLE_CHUNK):
         block = points[start:start + SAMPLE_CHUNK]
-        try:
-            result = residuals_at(block)
-        except Exception:
-            if len(block) == 1:
-                raise
-        else:
-            yield block, result
-            continue
+        if len(block) > 1:
+            try:
+                result = residuals_at(block)
+            except Exception:
+                pass
+            else:
+                yield block, result
+                continue
         for i in range(len(block)):
-            yield block[i:i + 1], residuals_at(block[i:i + 1])
+            try:
+                result = residuals_at(block[i:i + 1])
+            except NumericsError as exc:
+                exc.args = (f"{check} at point {_coords(block[i])}: {exc}",)
+                raise
+            yield block[i:i + 1], result
 
 
 def _per_point(residuals_at: Callable) -> Callable:
@@ -714,8 +786,12 @@ def _per_point(residuals_at: Callable) -> Callable:
 
 def _require_finite(check, condition, value, z):
     if not value < np.inf:  # NaN fails the comparison too
-        raise EvaluationError(f"{check}: non-finite {condition} at point "
-                              f"{[float(v) for v in np.atleast_1d(z)]}")
+        raise EvaluationError(f"{check}: non-finite {condition} at point {_coords(z)}")
+
+
+def _coords(z):
+    """A sample point as the list of floats reports and errors show."""
+    return [float(v) for v in np.atleast_1d(z)]
 
 
 def check_dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, samples,
@@ -739,15 +815,21 @@ def check_dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, samples,
 def check_dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, samples,
                        tol: float = 1e-6, system: str = "", params: dict | None = None):
     """Sampled implicit discrete Helmholtz verdict; samples are pair
-    points, the third triple member is solved from phi = 0."""
+    points, the third triple member is solved from phi = 0, one point
+    at a time.  With a complex-safe fiber map and phi the rest of a
+    block is evaluated at once."""
     n = fiber.dim
 
-    def residuals_at(z):
-        q0, q1 = z[:n], z[n:]
-        return _dhc_implicit(fiber, eq, q0, q1, implicit_step(eq, q0, q1))
+    def residuals_at(block):
+        q0, q1 = block[:, :n], block[:, n:]
+        q2 = np.stack([implicit_step(eq, a, b) for a, b in zip(q0, q1)])
+        return _dhc_implicit(fiber, eq, q0, q1, q2)
 
+    if not numkit.is_complex_safe(fiber.func, eq.phi):
+        residuals_at = _per_point(lambda z: _dhc_implicit(
+            fiber, eq, z[:n], z[n:], implicit_step(eq, z[:n], z[n:])))
     return _sampled_check(
-        "dhc-implicit", ("dHC1", "dHC2", "dHC3"), _per_point(residuals_at),
+        "dhc-implicit", ("dHC1", "dHC2", "dHC3"), residuals_at,
         np.atleast_2d(np.asarray(samples, dtype=float)), tol, system, params)
 
 
@@ -764,8 +846,7 @@ def check_isotropy(embedding: Callable, samples, tol: float = 1e-6,
 
     def residuals_at(block):
         jac, pulled = _pullback(embedding, block, ambient)
-        # a Python float squared, as libm's pow() rounds it
-        return (pulled,), [v ** 2 for v in np.abs(jac).max(axis=(1, 2)).tolist()]
+        return (pulled,), [_squared(v) for v in np.abs(jac).max(axis=(1, 2)).tolist()]
 
     report = _sampled_check("isotropy", ("isotropy",), residuals_at, samples,
                             tol, system, params)
@@ -777,6 +858,15 @@ def check_isotropy(embedding: Callable, samples, tol: float = 1e-6,
             worst_point=[float(m)], tol=0.5, passed=gap < 0.5,
         ))
     return report
+
+
+def _squared(v):
+    """The float ``v`` squared as libm's pow() rounds it (Python's ``**``),
+    and inf where that overflows, which Python raises instead."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return np.inf
 
 
 def check_chc(phi: Callable, jets, tol: float = 1e-6,
@@ -793,13 +883,19 @@ def check_chc(phi: Callable, jets, tol: float = 1e-6,
 
 def check_ihc(fiber: Callable, ode: ImplicitODE, points, tol: float = 1e-6,
               system: str = "", params: dict | None = None):
-    """Implicit continuous Helmholtz verdict at stacked (q, qd) points."""
+    """Implicit continuous Helmholtz verdict at stacked (q, qd) points.
+    With a complex-safe ``fiber``, ``phi`` and ``c`` (when given), a
+    block of points is evaluated at once, bar the accelerations."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[1] // 2
-    return _sampled_check(
-        "ihc", ("IHC1", "IHC2", "IHC3"),
-        _per_point(lambda z: (chc_implicit(fiber, ode, z[:n], z[n:]), 1.0)),
-        points, tol, system, params)
+    if numkit.is_complex_safe(fiber, ode.phi) and (ode.c is None
+                                                   or numkit.is_complex_safe(ode.c)):
+        residuals_at = lambda block: (chc_implicit(fiber, ode, block[:, :n], block[:, n:]),
+                                      np.ones(len(block)))
+    else:
+        residuals_at = _per_point(lambda z: (chc_implicit(fiber, ode, z[:n], z[n:]), 1.0))
+    return _sampled_check("ihc", ("IHC1", "IHC2", "IHC3"), residuals_at, points, tol,
+                          system, params)
 
 
 def check_functional(f: Callable, g: Callable, points, tol: float = 1e-10,
@@ -827,13 +923,14 @@ def check_two_form(omega: TwoFormField, samples, flow: Callable | None = None,
     names = ("closure", "vertical") + (("lie",) if flow is not None else ())
     minima = {"abs_det": np.inf, "flat_sigma": np.inf}
 
-    def residuals_at(z):
-        out = two_form_checks(omega, z, flow=flow, n_vertical=n_vertical, kernel=kernel)
+    def residuals_at(block):
+        out = two_form_checks(omega, block, flow=flow, n_vertical=n_vertical,
+                              kernel=kernel)
         for key in minima:
-            minima[key] = min(minima[key], out[key])
+            minima[key] = min(minima[key], float(out[key].min()))
         return [out[name] for name in names], out["magnitude"]
 
-    report = _sampled_check("two-form", names, _per_point(residuals_at),
+    report = _sampled_check("two-form", names, residuals_at,
                             np.atleast_2d(np.asarray(samples, dtype=float)),
                             tol, system, params)
     report.params = dict(params or {}, min_abs_det=float(minima["abs_det"]),

@@ -178,11 +178,17 @@ def lagrangian_two_form(lag: DiscreteLagrangian, q0, q1):
     In coordinates z = (q0, q1) the form is D12[i, j] dq0^i ^ dq1^j, so
     the matrix has blocks [[0, D12], [-D12^T, 0]].
     """
-    n = lag.dim
-    m = lag.D12(q0, q1)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, n:] = m
-    out[n:, :n] = -m.T
+    return pair_form_matrix(lag.D12(q0, q1))
+
+
+def pair_form_matrix(d12):
+    """The block matrix [[0, D12], [-D12^T, 0]] of the pair-space two-form
+    with mixed block D12, or a stack of them for a stack (..., n, n) of
+    D12; it keeps D12's dtype, so complex values pass through."""
+    n = d12.shape[-1]
+    out = np.zeros(d12.shape[:-2] + (2 * n, 2 * n), dtype=d12.dtype)
+    out[..., :n, n:] = d12
+    out[..., n:, :n] = -d12.swapaxes(-1, -2)
     return out
 
 

@@ -19,13 +19,19 @@ are fixed here once:
   ``Im f(x + i t e_k) / t``, which takes no difference and is exact to
   rounding.  All directions of all points of a stack (S, n) go to the
   callable in one call.  The catalogue's fiber maps and recurrences
-  carry the mark, and so do the embeddings and slot maps ``helmholtz``,
-  ``sode`` and ``systems`` build from marked parts; every other
-  callable keeps its stencil, one point at a time;
+  carry the mark, as do extended-disk's ``d12`` and implicit-exp's
+  ``phi``, ``c`` and momentum, and so do the embeddings, slot maps and
+  two-form fields ``helmholtz``, ``sode`` and ``systems`` build from
+  marked parts.  Every other callable keeps its stencil, one point at a
+  time, except in a derivative along directions at a stack of points:
+  there all stencil points of the stack go to the callable in one
+  call, so it must compute over the leading axis (ihc takes the time
+  derivative of a complex-step Jacobian so);
 * every linear system goes through one path, ``lu_solve``: LAPACK's
   partial-pivot LU plus a row-scaled conditioning test, so a singular or
   near-singular Jacobian surfaces as SingularJacobian instead of NaNs or
-  a huge step, for vector and matrix right-hand sides alike;
+  a huge step, for vector and matrix right-hand sides alike, and for a
+  stack of matrices, whose members are each tested so;
 * whether a matrix is regular is decided by that same test
   (``is_regular``: ``lu_solve`` accepts it against the identity), not
   by a determinant threshold of its own;
@@ -145,8 +151,11 @@ def _central(f, x, stencil, name, direction=None):
     ``direction`` at step ``scale * max(1, ||x||_inf) / ||direction||_inf``,
     shaped like f's values.  ``x`` may be a stack of points (S, n),
     which gives a stack of Jacobians (S, m, n); an unmarked ``f`` is
-    differentiated one point at a time.  An ``f`` marked by
-    ``complex_safe`` gets the complex-step row instead (``_complex_step``).
+    differentiated one point at a time, except along ``direction``
+    (one per point, or one for all): then one call of ``f`` covers all
+    stencil points of the stack (``_directional_stack``).  An ``f``
+    marked by ``complex_safe`` gets the complex-step row instead
+    (``_complex_step``).
     Each finished derivative must be finite, so a non-finite value at
     any stencil point raises EvaluationError.
     """
@@ -154,7 +163,9 @@ def _central(f, x, stencil, name, direction=None):
         return _complex_step(f, x, name, direction)
     x = _asvec(x)
     if x.ndim > 1:
-        return np.stack([_central(f, p, stencil, name, direction) for p in x])
+        if direction is not None:
+            return _directional_stack(f, x, stencil, name, direction)
+        return np.stack([_central(f, p, stencil, name) for p in x])
     scale, offsets, weights, denom = stencil
     if direction is None:
         directions = np.eye(x.size)
@@ -176,6 +187,42 @@ def _central(f, x, stencil, name, direction=None):
             raise EvaluationError(f"non-finite value in {name}, direction {i}")
         diffs.append(diff)
     return np.column_stack(diffs) if direction is None else diffs[0]
+
+
+def _directional_stack(f, x, stencil, name, direction):
+    """``_central``'s derivative along ``direction`` at a stack of points
+    x (S, n), ``direction`` being one per point (S, n) or one for all.
+
+    The stencil points of all S points are stacked offset by offset on
+    one leading axis and ``f`` is called once on them, so ``f`` must
+    compute over that axis and return its values stacked the same way
+    (DomainError otherwise).  Each point keeps its own step and the
+    left-to-right sum, so its derivative has the bits of the same
+    derivative at that point alone; a point whose direction is zero
+    gets zeros.  A non-finite derivative raises EvaluationError.
+    """
+    scale, offsets, weights, denom = stencil
+    count = len(x)
+    d = np.broadcast_to(_asvec(direction), x.shape)
+    nd = _maxreduce(np.absolute(d), 1)
+    still = nd == 0.0
+    t = scale * np.maximum(1.0, _maxreduce(np.absolute(x), 1)) / np.where(still, 1.0, nd)
+    value = np.asarray(f(np.concatenate([x + (o * t)[:, None] * d for o in offsets])),
+                       dtype=float)
+    if value.shape[:1] != (len(offsets) * count,):
+        raise DomainError(
+            f"callable returned shape {value.shape} for {len(offsets) * count} "
+            f"stencil points in {name}; it must compute over the leading axis")
+    value = value.reshape((len(offsets), count) + value.shape[1:])
+    total = None
+    for w, v in zip(weights, value):
+        term = w * v
+        total = term if total is None else total + term
+    diff = total / (denom * t).reshape((count,) + (1,) * (total.ndim - 1))
+    diff[still] = 0.0
+    if not np.all(np.isfinite(diff)):
+        raise EvaluationError(f"non-finite value in {name}, direction 0")
+    return diff
 
 
 def _complex_step(f, x, name, direction):
@@ -216,16 +263,18 @@ def _complex_step(f, x, name, direction):
             f"complex-safe callable returned shape {value.shape} for {count * n} "
             f"points in {name}; it must compute over the leading axis")
     value = value.reshape(count, n, -1)
-    diff = value.imag / steps[:, :, None]  # (count, direction, component)
+    # the derivatives divided straight into the Jacobian's layout
+    # (point, component, direction): no transposed copy of a block
+    jac = np.empty((count, value.shape[2], n))
+    np.divide(np.swapaxes(value.imag, 1, 2), steps[:, None, :], out=jac)
     bad_fx = ~np.isfinite(value[:, 0].real).all(axis=1)
-    bad_diff = ~np.isfinite(diff).all(axis=2)
+    bad_diff = ~np.isfinite(jac).all(axis=1)
     if bad_fx.any() or bad_diff.any():
         s = int(np.argmax(bad_fx | bad_diff.any(axis=1)))
         if bad_fx[s]:
             raise EvaluationError(f"non-finite value encountered in {name} at x")
         raise EvaluationError(
             f"non-finite value in {name}, direction {int(np.argmax(bad_diff[s]))}")
-    jac = np.ascontiguousarray(np.swapaxes(diff, 1, 2))
     return jac if x.ndim > 1 else jac[0]
 
 
@@ -256,6 +305,9 @@ def fd_directional4(f, x, direction):
     """Order-4 derivative of ``t -> f(x + t*direction)`` at t = 0.
 
     ``f`` may return an array of any shape; the result has that shape.
+    At a stack of points (S, n), with one direction per point or one for
+    all, ``f`` gets all stencil points in one call and must compute over
+    the leading axis; the result is the stack of the points' derivatives.
     """
     return _central(f, x, _CENTRAL4, "fd_directional4", direction)
 
@@ -307,10 +359,18 @@ def lu_solve(a, rhs):
     precision.  An exactly singular matrix or a non-finite solution
     raises too.  ``rhs`` may be a vector of shape (n,) or a matrix of
     shape (n, k) whose columns are k right-hand sides.
+
+    ``a`` may also be a stack of matrices (S, n, n), with ``rhs`` a stack
+    of vectors (S, n) or of matrices (S, n, k): one batched LAPACK call
+    solves them and each member passes the same test, so the solution
+    is that of solving the members one by one, and the first member
+    that fails raises what ``lu_solve`` raises for it alone.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim == 3 and a.shape[1] == a.shape[2]:
+            return _lu_solve_stack(a, rhs)
         raise DomainError("lu_solve needs a square matrix")
     try:
         x = np.linalg.solve(a, rhs)
@@ -327,6 +387,28 @@ def lu_solve(a, rhs):
             f"solution of size {size:.3e} against a row-scaled right-hand "
             f"side of {scaled_rhs:.3e}: condition number above {1 / PIVOT_FLOOR:.0e}")
     return x
+
+
+def _lu_solve_stack(a, rhs):
+    """``lu_solve`` on a stack of matrices (S, n, n): one batched solve,
+    then the row-scaled test of each member, computed as for the member
+    alone.  When a member is exactly singular or fails the test, the
+    members are solved one by one, so the first that fails raises."""
+    vector = rhs.ndim == 2
+    try:
+        x = np.linalg.solve(a, rhs[..., None] if vector else rhs)
+    except np.linalg.LinAlgError:
+        x = None
+    else:
+        if vector:
+            x = x[..., 0]
+        size = _maxreduce(np.absolute(x.reshape(len(x), -1)), 1)
+        rows = _maxreduce(np.absolute(a), 2)
+        scaled = np.absolute(rhs) / (rows if vector else rows[..., None])
+        scaled_rhs = _maxreduce(scaled.reshape(len(x), -1), 1)
+        if np.all(size < np.inf) and not np.any(size * PIVOT_FLOOR > scaled_rhs):
+            return x
+    return np.stack([lu_solve(m, r) for m, r in zip(a, rhs)])
 
 
 def is_regular(a):

@@ -72,8 +72,9 @@ class ImplicitSOdE:
     ``c`` may carry the analytic last-slot Jacobian; otherwise central
     differences are used.  The equation is well posed near points where
     that matrix is invertible.  A ``phi`` marked by
-    ``numkit.complex_safe`` makes ``tangent_basis`` differentiate it by
-    the complex step.
+    ``numkit.complex_safe`` makes ``tangent_basis`` differentiate it,
+    C included, by the complex step, on stacks of triples too; ``c``
+    then serves the Newton solve of ``implicit_step``.
     """
 
     dim: int
@@ -130,25 +131,35 @@ def implicit_step(eq: ImplicitSOdE, q0, q1, *, tol: float | None = None):
 def tangent_basis(eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
     """Bases A, B of the tangent space of {phi = 0} at an on-manifold
     triple, each of shape (n, 3n); row i holds the coefficients of A_i
-    (resp. B_i) in the coordinate frame (q0, q1, q2).  The slot
-    Jacobians of phi come from one difference of the map (q0, q1) ->
-    phi(q0, q1, q2), by the complex step when ``phi`` is complex-safe.
-    Raises SingularJacobian where C is singular at working precision."""
+    (resp. B_i) in the coordinate frame (q0, q1, q2).
+
+    For a complex-safe ``phi`` one complex step of the map (q0, q1, q2)
+    -> phi gives the slot Jacobians and C together, and the triples may
+    be stacked on a leading axis (S, n), giving stacks (S, n, 3n) of
+    both bases.  Otherwise the slot Jacobians come from order-2
+    differences of (q0, q1) -> phi(q0, q1, q2) and C from
+    ``ImplicitSOdE.C``, at one triple.  Raises SingularJacobian where C
+    is singular at working precision."""
     eq.require_on_manifold(q0, q1, q2, tol)
     n = eq.dim
-    cmat = eq.C(q0, q1, q2)
-    q2 = np.asarray(q2, dtype=float)
-    slots = numkit.fd_jacobian(
-        numkit.complex_safe(lambda z: eq(z[..., :n], z[..., n:], q2), eq.phi),
-        np.concatenate([np.asarray(q0, dtype=float), np.asarray(q1, dtype=float)]))
-    corr0 = numkit.lu_solve(cmat, slots[:, :n])
-    corr1 = numkit.lu_solve(cmat, slots[:, n:])
-    a = np.zeros((n, 3 * n))
-    b = np.zeros((n, 3 * n))
-    a[:, :n] = np.eye(n)
-    a[:, 2 * n:] = -corr0.T
-    b[:, n:2 * n] = np.eye(n)
-    b[:, 2 * n:] = -corr1.T
+    q0, q1, q2 = (np.asarray(q, dtype=float) for q in (q0, q1, q2))
+    if numkit.is_complex_safe(eq.phi):
+        jac = numkit.fd_jacobian(
+            numkit.complex_safe(lambda z: eq(z[..., :n], z[..., n:2 * n], z[..., 2 * n:]),
+                                eq.phi),
+            np.concatenate([q0, q1, q2], axis=-1))
+        slots, cmat = jac[..., :2 * n], jac[..., 2 * n:]
+    else:
+        cmat = eq.C(q0, q1, q2)
+        slots = numkit.fd_jacobian(lambda z: eq(z[:n], z[n:], q2), np.concatenate([q0, q1]))
+    corr0 = numkit.lu_solve(cmat, slots[..., :n])
+    corr1 = numkit.lu_solve(cmat, slots[..., n:])
+    a = np.zeros(q0.shape[:-1] + (n, 3 * n))
+    b = np.zeros_like(a)
+    a[..., :n] = np.eye(n)
+    a[..., 2 * n:] = -np.swapaxes(corr0, -1, -2)
+    b[..., n:2 * n] = np.eye(n)
+    b[..., 2 * n:] = -np.swapaxes(corr1, -1, -2)
     return a, b
 
 

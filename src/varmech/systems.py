@@ -25,9 +25,12 @@ can be exercised against hand-checkable numbers:
 Builders take keyword parameters (step size and system constants) and
 return small bundles of callables; ``make_system`` looks entries up by
 name for the command line.  Every fiber map and recurrence here is
-marked by ``numkit.complex_safe``, so the checks differentiate them by
-the complex step; like every marked callable they index coordinates
-with ``[..., k]`` and so also take points stacked on leading axes.
+marked by ``numkit.complex_safe``, and so are extended-disk's ``d12``
+and implicit-exp's ``phi``, ``c`` and momentum, so the checks
+differentiate them by the complex step; like every marked callable
+they index coordinates with ``[..., k]`` and so also take points
+stacked on leading axes.  The ``d12`` of the other Lagrangians stays
+unmarked: del_step's Newton calls it once per iteration at one point.
 """
 
 from __future__ import annotations
@@ -402,17 +405,24 @@ def extended_disk(h: float = 0.05) -> DiscreteLagrangian:
         ])
 
     def d12(q0, q1):
-        d, _, cs, sn = split(q0, q1)
-        return np.array([
-            [-(2.0 / h - 1.0), 0.5 * (sn * d[2] - cs * d[3]), -cs, -sn],
-            [0.5 * (-sn * d[2] + cs * d[3]),
-             -1.0 / h - 0.25 * d[0] * (cs * d[2] + sn * d[3]),
-             -0.5 * d[0] * sn, 0.5 * d[0] * cs],
-            [-cs, 0.5 * d[0] * sn, 1.0, 0.0],
-            [-sn, -0.5 * d[0] * cs, 0.0, 1.0],
-        ])
+        # over leading axes: coordinates [..., k], rows stacked on axis -2
+        d = q1 - q0
+        d0, d2, d3 = d[..., 0], d[..., 2], d[..., 3]
+        mu = 0.5 * (q0[..., 1] + q1[..., 1])
+        cs, sn = np.cos(mu), np.sin(mu)
+        one, zero = np.ones_like(mu), np.zeros_like(mu)
+        rows = [
+            [-(2.0 / h - 1.0) * one, 0.5 * (sn * d2 - cs * d3), -cs, -sn],
+            [0.5 * (-sn * d2 + cs * d3),
+             -1.0 / h - 0.25 * d0 * (cs * d2 + sn * d3),
+             -0.5 * d0 * sn, 0.5 * d0 * cs],
+            [-cs, 0.5 * d0 * sn, one, zero],
+            [-sn, -0.5 * d0 * cs, zero, one],
+        ]
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
-    return DiscreteLagrangian(dim=4, h=h, value=value, d1=d1, d2=d2, d12=d12)
+    return DiscreteLagrangian(dim=4, h=h, value=value, d1=d1, d2=d2,
+                              d12=complex_safe(d12))
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +503,16 @@ def implicit_exp() -> ImplicitForceSystem:
     velocity momentum through the implicit machinery."""
 
     def phi(q, qd, qdd):
-        return np.array([np.exp(qdd[0] - q[0]) - 1.0, qdd[1] - q[1]])
+        out = qdd - q
+        out[..., 0] = np.exp(out[..., 0]) - 1.0
+        return out
 
     def c(q, qd, qdd):
-        return np.diag([np.exp(qdd[0] - q[0]), 1.0])
+        e = np.exp(qdd[..., 0] - q[..., 0])
+        out = np.zeros(e.shape + (2, 2), dtype=e.dtype)
+        out[..., 0, 0] = e
+        out[..., 1, 1] = 1.0
+        return out
 
     jets = [
         (np.zeros(2), np.array([1.0, 1.0]), np.zeros(2), np.zeros(2)),
@@ -510,8 +526,8 @@ def implicit_exp() -> ImplicitForceSystem:
 
     return ImplicitForceSystem(
         name="implicit-exp",
-        ode=ImplicitODE(dim=2, phi=phi, c=c),
-        momentum=lambda q, qd: qd.copy(),
+        ode=ImplicitODE(dim=2, phi=complex_safe(phi), c=complex_safe(c)),
+        momentum=complex_safe(lambda q, qd: qd.copy()),
         jets=jets,
         worst_residual_reference=reference,
     )

@@ -313,6 +313,23 @@ def test_check_with_nan_inside_stencil_exits_two(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:divide by zero encountered:RuntimeWarning")
+def test_isotropy_data_size_past_the_float_range_exits_two(tmp_path, capsys):
+    # at h = 1e-160 the fiber map's slope 1/sin(h) squares past the float
+    # range: a numerical failure naming the first sample, not a traceback
+    from varmech.helmholtz import sample_box
+
+    out = tmp_path / "iso.json"
+    rc = main(["check", "isotropy", "--system", "harmonic-exact", "--h", "1e-160",
+               "--points", "2", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    first = sample_box(2, 2, seed=0)[0].tolist()
+    assert capsys.readouterr().err == (
+        f"numerical failure: isotropy: non-finite data size at point {first}\n")
+
+
 def test_isotropy_on_rolling_disk_rejects_box(tmp_path, capsys):
     out = tmp_path / "iso.json"
     rc = main(["check", "isotropy", "--system", "rolling-disk", "--box", "0.1",

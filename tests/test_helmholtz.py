@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 from varmech import helmholtz as hz
 from varmech import numkit, systems
 from varmech.errors import DomainError, EvaluationError, SingularJacobian
-from varmech.lagrangian import DiscreteLagrangian
+from varmech.lagrangian import DiscreteLagrangian, lagrangian_two_form
 from varmech.nonholonomic import rule_from_spec
 from varmech.sode import ExplicitSOdE, ImplicitSOdE, explicit_to_implicit, implicit_step
 
@@ -243,6 +244,35 @@ def test_implicit_ode_solves_acceleration():
     assert_allclose(acc, q, atol=1e-10)
 
 
+def test_implicit_ode_takes_stacked_points():
+    ode = systems.make_system("implicit-exp").ode
+    q, qd, qdd = np.random.default_rng(3).uniform(-1, 1, size=(3, 5, 2))
+    values = ode(q, qd, qdd)
+    assert values.shape == (5, 2)
+    for i in range(5):
+        assert ode(q[i], qd[i], qdd[i]).tobytes() == values[i].tobytes()
+    assert ode.C(q, qd, qdd).shape == (5, 2, 2)
+    # a marked phi keeps the points' dtype, so complex steps pass through
+    assert ode(q + 1e-30j, qd, qdd).dtype == complex
+    with pytest.raises(DomainError, match=r"phi returned shape \(2,\), expected \(5, 2\)"):
+        hz.ImplicitODE(dim=2, phi=lambda q, qd, qdd: np.zeros(2))(q, qd, qdd)
+
+
+def test_chc_implicit_of_a_stack_is_the_stack_of_residuals():
+    # marked implicit-exp: each point of a stack gets the bits of its
+    # residuals alone, and the outer stencil calls the inner complex-step
+    # Jacobian once
+    bundle = systems.make_system("implicit-exp")
+    points = bundle.probes(6, seed=2)
+    stacked = hz.chc_implicit(bundle.momentum, bundle.ode, points[:, :2], points[:, 2:])
+    for i, z in enumerate(points):
+        for r, rs in zip(hz.chc_implicit(bundle.momentum, bundle.ode, z[:2], z[2:]),
+                         stacked):
+            assert r.tobytes() == rs[i].tobytes()
+    # the linear momentum qd makes every residual exactly zero
+    assert not any(np.any(r) for r in stacked)
+
+
 # ---------------------------------------------------------------------------
 # one-dimensional functional compatibility equation
 
@@ -345,6 +375,47 @@ def test_two_form_vertical_kernel_blocks():
     assert abs(hz.two_form_checks(form, z, kernel="first")["vertical"] - 1.0) < 1e-12
     with pytest.raises(DomainError):
         hz.two_form_checks(form, z, kernel="middle")
+
+
+def test_two_form_field_takes_stacked_points():
+    lag = systems.make_system("extended-disk")
+    omega = hz.TwoFormField.from_lagrangian(lag)
+    assert numkit.is_complex_safe(lag.d12, omega.coeff)
+    plain = hz.TwoFormField.from_lagrangian(kinetic_lagrangian())
+    assert not numkit.is_complex_safe(plain.coeff)
+    z = hz.sample_box(8, 5, seed=1)
+    w = omega(z)
+    assert w.shape == (5, 8, 8)
+    for i in range(5):
+        # the pair-space form of D12, as lagrangian_two_form builds it
+        assert w[i].tobytes() == lagrangian_two_form(lag, z[i, :4], z[i, 4:]).tobytes()
+    assert omega(z + 1e-30j).dtype == complex
+    # an unmarked field is called point by point; a marked one must
+    # compute over the leading axis
+    const = hz.TwoFormField.from_constant(w[0])
+    assert const(z).tobytes() == np.stack([w[0]] * 5).tobytes()
+    with pytest.raises(DomainError, match="coefficient field returned shape"):
+        hz.TwoFormField(dim=8, coeff=numkit.complex_safe(lambda z: w[0]))(z)
+
+
+@pytest.mark.parametrize("marked", [True, False])
+def test_two_form_checks_of_a_stack_are_the_checks_of_each_point(marked):
+    # marked: extended-disk's field; unmarked: the kinetic pair form with
+    # the free flow, evaluated point by point inside the stack
+    if marked:
+        lag, flow = systems.make_system("extended-disk"), None
+    else:
+        lag, flow = kinetic_lagrangian(), free_recurrence().flow_map
+    omega = hz.TwoFormField.from_lagrangian(lag)
+    z = hz.sample_box(omega.dim, 6, seed=2)
+    stacked = hz.two_form_checks(omega, z, flow=flow)
+    for i in range(6):
+        alone = hz.two_form_checks(omega, z[i], flow=flow)
+        assert set(alone) == set(stacked)
+        for key, value in alone.items():
+            assert isinstance(value, float)
+            assert value == stacked[key][i], key
+    assert np.max(stacked["closure"]) < (1e-15 if marked else 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +642,98 @@ def test_check_dhc_implicit_matches_exact_linear_residuals(n, tol, marked):
     _assert_exact_verdicts(report, exact, tol * max(1.0, np.max(np.abs(p)), np.max(np.abs(q))))
 
 
+def _linear_ihc_case(cm, dm, km, mm, nm, marked):
+    """The law phi = C qdd + D qd + K q with momentum F = M qd + N q, and
+    the exact IHC residuals, which are constant: F's Jacobian is (N, M)
+    along every solution, so with X = M C^{-1} they are M - M',
+    N - N' - X D and Y - Y' for Y = -X K.  Unmarked, C is also given as
+    the analytic ``c``; marked, it comes from phi's complex step."""
+    n = len(cm)
+    mark = numkit.complex_safe if marked else (lambda f: f)
+    phi = mark(lambda q, qd, qdd: qdd @ cm.T + qd @ dm.T + q @ km.T)
+    ode = hz.ImplicitODE(dim=n, phi=phi, c=None if marked else (lambda q, qd, qdd: cm))
+    fiber = mark(lambda q, qd: qd @ mm.T + q @ nm.T)
+    x = mm @ np.linalg.inv(cm)
+    y = -x @ km
+    exact = [mm - mm.T, nm - nm.T - x @ dm, y - y.T]
+    return fiber, ode, [float(np.max(np.abs(r))) for r in exact]
+
+
+@pytest.mark.parametrize("marked", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_ihc_passes_every_quadratic_lagrangian(n, marked):
+    # L = qd'A qd/2 + qd'B q + q'S q/2: F = dL/dqd = A qd + B q and the
+    # Euler-Lagrange law A qdd + (B - B') qd - S q = 0
+    rng = np.random.default_rng(500 + n)
+    g, b = rng.normal(size=(2, n, n))
+    a = g @ g.T + n * np.eye(n)
+    s = rng.normal(size=(n, n))
+    s = s + s.T
+    fiber, ode, exact = _linear_ihc_case(a, b - b.T, -s, a, b, marked)
+    assert max(exact) < 1e-12
+    report = hz.check_ihc(fiber, ode, hz.sample_box(2 * n, 8, box=0.8, seed=n), tol=1e-8)
+    assert report.verdict
+    # the time derivative is still a difference, of a complex-step
+    # Jacobian that is constant to rounding when marked
+    assert max(c.max_residual for c in report.conditions) < (1e-12 if marked else 1e-9)
+
+
+@pytest.mark.parametrize("marked", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("tol", [1e-8, 1.0])
+def test_check_ihc_matches_exact_linear_residuals(n, tol, marked):
+    rng = np.random.default_rng(600 + n)
+    cm, dm, km, mm, nm = rng.normal(size=(5, n, n))
+    cm += 2 * n * np.eye(n)
+    fiber, ode, exact = _linear_ihc_case(cm, dm, km, mm, nm, marked)
+    report = hz.check_ihc(fiber, ode, hz.sample_box(2 * n, 8, box=0.8, seed=n), tol=tol)
+    _assert_exact_verdicts(report, exact, tol)
+
+
+def _antisymmetric_stack(rng, m):
+    """m random antisymmetric m-by-m matrices A_k, stacked (m, m, m)."""
+    g = rng.normal(size=(m, m, m))
+    return g - np.swapaxes(g, -1, -2)
+
+
+def _linear_field(z, ak):
+    """W(z) = sum_k z_k A_k, over leading axes of z, summed in k order
+    without a BLAS call, so a stack of points gets each point's bits."""
+    w = 0.0
+    for k in range(len(ak)):
+        w = w + z[..., k, None, None] * ak[k]
+    return w
+
+
+@pytest.mark.parametrize("marked", [True, False])
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("tol", [1e-6, 1.0])
+def test_check_two_form_closure_matches_exact_linear_field(m, tol, marked):
+    # dW_ij/dz_k = A_k[i, j]: the closure residual is the largest cyclic
+    # sum |A_a[b, c] + A_b[c, a] + A_c[a, b]| over a < b < c
+    rng = np.random.default_rng(700 + m)
+    ak = _antisymmetric_stack(rng, m)
+    exact = max(abs(ak[a][b, c] + ak[b][c, a] + ak[c][a, b])
+                for a, b, c in itertools.combinations(range(m), 3))
+    mark = numkit.complex_safe if marked else (lambda f: f)
+    omega = hz.TwoFormField(dim=m, coeff=mark(lambda z: _linear_field(z, ak)))
+    samples = hz.sample_box(m, 10, seed=m)
+    report = hz.check_two_form(omega, samples, tol=tol)
+    fields = [_linear_field(z, ak) for z in samples]
+    eff = tol * max(1.0, max(float(np.max(np.abs(w))) for w in fields))
+    assert abs(exact - eff) > 1e-9 * eff
+    closure = report.conditions[0]
+    assert closure.name == "closure"
+    assert closure.max_residual == pytest.approx(exact, rel=1e-12 if marked else 1e-9)
+    assert closure.tol == eff
+    assert closure.passed == (exact <= eff)
+    # the raw minima are those of a per-point loop
+    vert = slice(m - m // 2, m)
+    assert report.params["min_abs_det"] == min(abs(float(np.linalg.det(w))) for w in fields)
+    assert report.params["min_flat_sigma"] == min(
+        float(np.linalg.svd(w[vert, :], compute_uv=False)[-1]) for w in fields)
+
+
 def test_check_dhc_implicit_report():
     eq = ImplicitSOdE(dim=1,
                       phi=lambda q0, q1, q2: np.exp(q2 - 2 * q1 + q0) - 1.0,
@@ -767,17 +930,45 @@ def _point_by_point(monkeypatch, run):
         return run()
 
 
-@pytest.mark.parametrize("which", ["turn-ratio", "doubled-rate", "dhc-explicit"])
-def test_blocks_match_point_by_point_reference(monkeypatch, which):
-    count = hz.SAMPLE_CHUNK + 3
-    if which == "dhc-explicit":
-        bundle = systems.make_system("harmonic-exact")
-        run = lambda: hz.check_dhc_explicit(bundle.fiber, bundle.recurrence,
-                                            hz.sample_box(2, count, seed=5), tol=1e-8)
-    else:
+def _block_run(which, count):
+    """A check over ``count`` samples whose callables are complex-safe,
+    so each of its blocks is evaluated at once."""
+    if which in ("turn-ratio", "doubled-rate"):
         disk = systems.make_system("rolling-disk")
         embed = disk.chart_embedding(disk.fibers[which], rule_from_spec("euler-a"))
-        run = lambda: hz.check_isotropy(embed, disk.chart_samples(count, seed=5))
+        assert numkit.is_complex_safe(embed)
+        return lambda: hz.check_isotropy(embed, disk.chart_samples(count, seed=5))
+    if which == "dhc-explicit":
+        bundle = systems.make_system("harmonic-exact")
+        assert numkit.is_complex_safe(bundle.fiber.func, bundle.recurrence.gamma)
+        return lambda: hz.check_dhc_explicit(bundle.fiber, bundle.recurrence,
+                                             hz.sample_box(2, count, seed=5), tol=1e-8)
+    if which == "dhc-implicit":
+        bundle = systems.make_system("exp-recurrence")
+        assert numkit.is_complex_safe(bundle.fiber.func, bundle.equation.phi)
+        return lambda: hz.check_dhc_implicit(bundle.fiber, bundle.equation,
+                                             hz.sample_box(2, count, seed=5), tol=1e-8)
+    if which == "ihc":
+        bundle = systems.make_system("implicit-exp")
+        assert numkit.is_complex_safe(bundle.momentum, bundle.ode.phi, bundle.ode.c)
+        return lambda: hz.check_ihc(bundle.momentum, bundle.ode,
+                                    bundle.probes(count, seed=5), tol=1e-7)
+    if which == "two-form":
+        omega = hz.TwoFormField.from_lagrangian(systems.make_system("extended-disk"))
+        assert numkit.is_complex_safe(omega.coeff)
+        return lambda: hz.check_two_form(omega, hz.sample_box(8, count, seed=5))
+    # unmarked field and flow: evaluated point by point inside each block
+    osc = systems.make_system("harmonic-exact")
+    omega, flow = osc.two_form(), osc.recurrence.flow_map
+    assert not numkit.is_complex_safe(omega.coeff) and not numkit.is_complex_safe(flow)
+    return lambda: hz.check_two_form(omega, hz.sample_box(2, count, seed=5), flow=flow)
+
+
+@pytest.mark.parametrize("which", ["turn-ratio", "doubled-rate", "dhc-explicit",
+                                   "dhc-implicit", "ihc", "two-form", "two-form-unmarked"])
+def test_blocks_match_point_by_point_reference(monkeypatch, which):
+    # verdicts, residuals, worst points, tol and params, byte for byte
+    run = _block_run(which, hz.SAMPLE_CHUNK + 3)
     assert run().to_json() == _point_by_point(monkeypatch, run).to_json()
 
 
@@ -846,3 +1037,55 @@ def test_marked_fiber_map_that_ignores_the_leading_axis_raises():
         hz.check_isotropy(hz.gamma_embedding(fiber, eq), samples)
     with pytest.raises(DomainError, match="fiber map returned shape"):
         hz.check_dhc_explicit(fiber, eq, samples)
+
+
+def test_nan_of_a_two_form_field_in_a_later_block_names_the_first_bad_point(monkeypatch):
+    # a marked linear field that is NaN at one sample of the second block
+    # and raises at the sample after it: the NaN still decides, as it
+    # does one point at a time, and the error names its point
+    chunk = hz.SAMPLE_CHUNK
+    samples = hz.sample_box(4, chunk + 3, seed=4)
+    nan_at, raise_at = samples[chunk + 1], samples[chunk + 2]
+    ak = _antisymmetric_stack(np.random.default_rng(9), 4)
+
+    def coeff(z):
+        if np.any(np.all(z.real == raise_at, axis=-1)):
+            raise EvaluationError("field failed")
+        w = _linear_field(z, ak)
+        w[np.all(z.real == nan_at, axis=-1)] = np.nan
+        return w
+
+    omega = hz.TwoFormField(dim=4, coeff=numkit.complex_safe(coeff))
+    run = lambda: hz.check_two_form(omega, samples)
+    message = re.escape(f"two-form at point {nan_at.tolist()}: non-finite value")
+    with pytest.raises(EvaluationError, match=message) as batched:
+        run()
+    with pytest.raises(EvaluationError, match=message) as reference:
+        _point_by_point(monkeypatch, run)
+    assert str(batched.value) == str(reference.value)
+
+
+def test_singular_c_in_a_later_block_of_dhc_implicit_names_the_first_bad_point(monkeypatch):
+    # C = [[k, 1], [1, 1]] with k - 1 = (x0 - x0') (x0 - x0''): singular
+    # at two samples of the second block; the predictor 2 q1 - q0 is an
+    # exact root everywhere, so only the tangent basis solves with C
+    chunk = hz.SAMPLE_CHUNK
+    samples = hz.sample_box(4, chunk + 3, seed=6)
+    first, second = samples[chunk + 1], samples[chunk + 2]
+
+    def phi(q0, q1, q2):
+        d = q2 - (2.0 * q1 - q0)
+        k = 1.0 + (q0[..., 0] - first[0]) * (q0[..., 0] - second[0])
+        return np.stack([k * d[..., 0] + d[..., 1], d[..., 0] + d[..., 1]], axis=-1)
+
+    eq = ImplicitSOdE(dim=2, phi=numkit.complex_safe(phi))
+    fiber = hz.FiberMap(dim=2, func=numkit.complex_safe(lambda q0, q1: (q1 - q0) / H))
+    run = lambda: hz.check_dhc_implicit(fiber, eq, samples)
+    message = re.escape(f"dhc-implicit at point {first.tolist()}: ")
+    with pytest.raises(SingularJacobian, match=message) as batched:
+        run()
+    with pytest.raises(SingularJacobian, match=message) as reference:
+        _point_by_point(monkeypatch, run)
+    assert str(batched.value) == str(reference.value)
+    # without the two singular samples the check passes
+    assert hz.check_dhc_implicit(fiber, eq, samples[:chunk + 1]).verdict

@@ -129,6 +129,38 @@ def test_complex_step_of_a_stack_names_the_first_bad_point():
         numkit.fd_jacobian4(g, np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("stencil", [numkit._CENTRAL2, numkit._CENTRAL4])
+def test_directional_derivative_of_a_stack_is_one_call(stencil):
+    # one direction per point, one of them zero: every stencil point of
+    # the stack goes to f at once, and each derivative has the bits of
+    # the same derivative at its point alone
+    f = lambda z: np.stack([np.exp(z[..., 0]) * np.sin(z[..., 1]),
+                            z[..., 0] * z[..., 1] ** 3], axis=-1)
+    calls = []
+    counted = lambda z: calls.append(z.shape) or f(z)
+    xs = np.array([[0.3, -1.7], [2.0, 0.5], [-40.0, 1e-3], [0.0, 0.0]])
+    ds = np.array([[1.0, -1.0], [0.0, 0.0], [0.25, 3.0], [-2.0, 0.5]])
+    stacked = numkit._central(counted, xs, stencil, "test", ds)
+    assert calls == [(len(stencil[1]) * len(xs), 2)]
+    assert stacked.shape == (4, 2)
+    assert not np.any(stacked[1])
+    for x, d, row in zip(xs, ds, stacked):
+        assert numkit._central(f, x, stencil, "test", d).tobytes() == row.tobytes()
+    # one direction for all points
+    shared = numkit._central(f, xs, stencil, "test", ds[0])
+    for x, row in zip(xs, shared):
+        assert numkit._central(f, x, stencil, "test", ds[0]).tobytes() == row.tobytes()
+
+
+def test_directional_derivative_of_a_stack_needs_the_leading_axis():
+    f = lambda z: np.array([z[0] * z[1]])  # one point only
+    with pytest.raises(DomainError, match="leading axis"):
+        numkit.fd_directional4(f, np.array([[0.3, 0.4], [0.5, 0.6]]), np.ones(2))
+    nan = lambda z: np.where(z[..., :1] > 0.501, np.nan, z[..., :1])
+    with pytest.raises(EvaluationError, match="fd_directional4, direction 0"):
+        numkit.fd_directional4(nan, np.array([[0.3, 0.4], [0.5, 0.6]]), np.ones(2))
+
+
 def test_complex_step_directional_derivative():
     g = numkit.complex_safe(lambda z: np.array([[z[0] ** 2, z[0] * z[1]]]))
     d = numkit.fd_directional4(g, np.array([0.5, 2.0]), np.array([1.0, -1.0]))
@@ -230,6 +262,39 @@ def test_lu_solve_badly_scaled_rows_are_fine():
     a = np.array([[2.0, 1.0], [1e-20, 3e-20]])
     b = np.array([1.0, 2e-20])
     assert_allclose(numkit.lu_solve(a, b), np.linalg.solve(a, b), rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_lu_solve_on_a_stack_is_member_by_member(n):
+    rng = np.random.default_rng(40 + n)
+    a = rng.normal(size=(50, n, n)) + rng.uniform(0.0, n, (50, 1, 1)) * np.eye(n)
+    for rhs in (rng.normal(size=(50, n)), rng.normal(size=(50, n, 2 * n))):
+        stacked = numkit.lu_solve(a, rhs)
+        assert stacked.shape == rhs.shape
+        for m, r, x in zip(a, rhs, stacked):
+            assert numkit.lu_solve(m, r).tobytes() == x.tobytes()
+
+
+def test_lu_solve_on_a_stack_raises_for_the_first_failing_member():
+    # member 1 fails the row-scaled test, member 3 is exactly singular:
+    # the stack raises what member 1 raises alone, whichever comes first;
+    # member 0's large right-hand side does not excuse member 1
+    a = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 1e-15]], 2 * np.eye(2),
+                  [[1.0, 2.0], [2.0, 4.0]]])
+    rhs = np.array([[1e3, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(SingularJacobian) as alone:
+        numkit.lu_solve(a[1], rhs[1])
+    for order in ([0, 1, 2], [0, 1, 2, 3], [0, 1, 3, 2], [3, 0, 1, 2]):
+        with pytest.raises(SingularJacobian) as stacked:
+            numkit.lu_solve(a[order], rhs[order])
+        first = next(i for i in order if i in (1, 3))
+        if first == 1:
+            assert str(stacked.value) == str(alone.value)
+        else:
+            assert "singular" in str(stacked.value)
+    assert numkit.lu_solve(a[[0, 2]], rhs[[0, 2]]).tolist() == [[1e3, 0.0], [0.5, 0.5]]
+    with pytest.raises(DomainError, match="square"):
+        numkit.lu_solve(np.ones((3, 2, 3)), np.ones((3, 2)))
 
 
 def test_lu_solve_matrix_rhs_is_row_scaled():

@@ -163,3 +163,48 @@ def test_implicit_equation_takes_stacked_points():
     with pytest.raises(DomainError, match=r"phi returned shape \(1,\), expected \(2, 1\)"):
         sode.ImplicitSOdE(dim=1, phi=lambda a, b, c: np.zeros(1))(z[:, :1], z[:, 1:2],
                                                                   z[:, 2:])
+
+
+def _marked_planar_equation():
+    """phi(q0, q1, q2) = (exp(x2 - x1) - 1 - y0 y1, y2 + sin(x1) x2 - x0), marked."""
+    def phi(q0, q1, q2):
+        x0, y0, x1, y1 = q0[..., 0], q0[..., 1], q1[..., 0], q1[..., 1]
+        x2, y2 = q2[..., 0], q2[..., 1]
+        return np.stack([np.exp(x2 - x1) - 1.0 - y0 * y1, y2 + np.sin(x1) * x2 - x0],
+                        axis=-1)
+
+    return sode.ImplicitSOdE(dim=2, phi=numkit.complex_safe(phi))
+
+
+def test_tangent_basis_of_a_stack_is_the_stack_of_bases():
+    # each member of a stack of triples gets the bits of its own basis
+    eq = _marked_planar_equation()
+    pairs = np.random.default_rng(5).uniform(-0.5, 0.5, size=(7, 4))
+    q0, q1 = pairs[:, :2], pairs[:, 2:]
+    q2 = np.stack([sode.implicit_step(eq, a, b) for a, b in zip(q0, q1)])
+    a, b = sode.tangent_basis(eq, q0, q1, q2)
+    assert a.shape == b.shape == (7, 2, 6)
+    for i in range(len(pairs)):
+        a_i, b_i = sode.tangent_basis(eq, q0[i], q1[i], q2[i])
+        assert a_i.tobytes() == a[i].tobytes()
+        assert b_i.tobytes() == b[i].tobytes()
+        # the basis spans the kernel of dphi, with C from the same complex step
+        jac = numkit.fd_jacobian4(lambda z: eq(z[:2], z[2:4], z[4:]),
+                                  np.concatenate([q0[i], q1[i], q2[i]]))
+        assert np.max(np.abs(jac @ a_i.T)) < 1e-9
+        assert np.max(np.abs(jac @ b_i.T)) < 1e-9
+
+
+def test_tangent_basis_of_a_stack_raises_where_c_is_singular():
+    # C = [[k, 1], [1, 1]] with k = x0 is singular at the second triple only
+    def phi(q0, q1, q2):
+        dx, dy = q2[..., 0] - q1[..., 0], q2[..., 1] - q1[..., 1]
+        return np.stack([q0[..., 0] * dx + dy, dx + dy], axis=-1)
+
+    eq = sode.ImplicitSOdE(dim=2, phi=numkit.complex_safe(phi))
+    q0 = np.array([[2.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    q1 = np.array([[0.5, 0.1], [0.4, 0.2], [0.3, 0.3]])
+    with pytest.raises(SingularJacobian):
+        sode.tangent_basis(eq, q0, q1, q1)
+    a, b = sode.tangent_basis(eq, q0[[0, 2]], q1[[0, 2]], q1[[0, 2]])
+    assert a.shape == (2, 2, 6)

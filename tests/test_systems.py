@@ -145,6 +145,49 @@ def test_extended_disk_slot_derivatives():
                     numkit.fd_jacobian4(lambda q: ext.D1(a, q), b), atol=1e-9)
 
 
+def _extended_disk_d12_at_one_point(h, q0, q1):
+    """extended-disk's D12 as written for one point."""
+    d = q1 - q0
+    mu = 0.5 * (q0[1] + q1[1])
+    cs, sn = np.cos(mu), np.sin(mu)
+    return np.array([
+        [-(2.0 / h - 1.0), 0.5 * (sn * d[2] - cs * d[3]), -cs, -sn],
+        [0.5 * (-sn * d[2] + cs * d[3]),
+         -1.0 / h - 0.25 * d[0] * (cs * d[2] + sn * d[3]),
+         -0.5 * d[0] * sn, 0.5 * d[0] * cs],
+        [-cs, 0.5 * d[0] * sn, 1.0, 0.0],
+        [-sn, -0.5 * d[0] * cs, 0.0, 1.0],
+    ])
+
+
+def test_extended_disk_d12_computes_over_leading_axes():
+    # marked, so the two-form check batches it; each point of a stack
+    # keeps the bits of the one-point formula
+    ext = systems.extended_disk(0.05)
+    assert numkit.is_complex_safe(ext.d12)
+    z = sample_box(8, 40, box=2.0, seed=4)
+    stacked = ext.d12(z[:, :4], z[:, 4:])
+    assert stacked.shape == (40, 4, 4)
+    for zi, m in zip(z, stacked):
+        reference = _extended_disk_d12_at_one_point(0.05, zi[:4], zi[4:])
+        assert ext.D12(zi[:4], zi[4:]).tobytes() == reference.tobytes()
+        assert m.tobytes() == reference.tobytes()
+
+
+def test_implicit_exp_callables_compute_over_leading_axes():
+    case = systems.implicit_exp()
+    assert numkit.is_complex_safe(case.ode.phi, case.ode.c, case.momentum)
+    q, qd, qdd = np.random.default_rng(8).uniform(-1, 1, size=(3, 6, 2))
+    phi = case.ode.phi(q, qd, qdd)
+    c = case.ode.c(q, qd, qdd)
+    for i in range(6):
+        # the one-point forms the system was first written with
+        e = np.exp(qdd[i, 0] - q[i, 0])
+        assert phi[i].tobytes() == np.array([e - 1.0, qdd[i, 1] - q[i, 1]]).tobytes()
+        assert c[i].tobytes() == np.diag([e, 1.0]).tobytes()
+    assert case.momentum(q, qd).tobytes() == qd.tobytes()
+
+
 def test_backward_error_gauge_free_dynamics():
     plain = systems.backward_error(h=0.1, gauge=0.0)
     gauged = systems.backward_error(h=0.1, gauge=1.0)
@@ -224,6 +267,22 @@ def _marked_catalogue_callables():
                   (f"{name} recurrence", bundle.recurrence.gamma, box)]
     er = systems.make_system("exp-recurrence")
     cases.append(("exp-recurrence fiber", er.fiber.func, sample_box(2, 32, seed=3)))
+    # extended-disk's d12 and implicit-exp's phi, c and momentum, as pair
+    # maps of flat values: the matrices flattened, phi's three slots
+    # split off the pair (q, qd | qdd) and its second half
+    ext = systems.make_system("extended-disk")
+    cases.append(("extended-disk d12", numkit.complex_safe(
+        lambda q0, q1: ext.d12(q0, q1).reshape(q0.shape[:-1] + (16,)), ext.d12),
+        sample_box(8, 32, box=2.0, seed=3)))
+    ie = systems.make_system("implicit-exp")
+    cases.append(("implicit-exp momentum", ie.momentum, sample_box(4, 32, seed=3)))
+    triple = lambda f: lambda a, b: f(a[..., :2], np.concatenate(
+        [a[..., 2:], b[..., :1]], axis=-1), b[..., 1:])
+    flat_c = lambda a, b: triple(ie.ode.c)(a, b).reshape(a.shape[:-1] + (4,))
+    cases += [("implicit-exp phi", numkit.complex_safe(triple(ie.ode.phi), ie.ode.phi),
+               sample_box(6, 32, seed=3)),
+              ("implicit-exp c", numkit.complex_safe(flat_c, ie.ode.c),
+               sample_box(6, 32, seed=3))]
     disk = systems.make_system("rolling-disk")
     chart = disk.chart_samples(32, seed=3)
     for spec in DISK_RULES:
