@@ -30,32 +30,30 @@ copy minus the first: ambient matrix diag(-S, S).
 
 The sampled verdicts (``check_dhc_explicit``, ``check_dhc_implicit``,
 ``check_isotropy``, ``check_chc``, ``check_ihc``, ``check_two_form``,
-``check_functional``) each supply a residual function to one sample
-loop, ``_sampled_check``, which walks the samples in blocks of at most
-SAMPLE_CHUNK points, keeps the worst residual and point per condition
-and applies the scaled tolerance.  Isotropy, dhc-explicit,
-dhc-implicit, ihc and two-form evaluate a whole block at once when
-their callables are complex-safe: embeddings, slot maps, implicit
-equations and two-form fields built from them compute over a leading
-axis, so one call covers every complex-step point of the block.  Only
-Newton solves stay per point: the third member of dhc-implicit's
-triples and ihc's accelerations.  Two-form takes blocks in any case,
-evaluating and differentiating an unmarked field one point at a time
-inside them; the other checks on unmarked callables, chc and
-functional run a per-point function on each point of a block.
+``check_functional``) each supply one residual function of a block of
+samples to one sample loop, ``_sampled_check``, which walks the samples
+in blocks of at most SAMPLE_CHUNK points, keeps the worst residual and
+point per condition and applies the scaled tolerance.  Every residual
+function evaluates its block at once, whatever its callables: the fiber
+maps, recurrences, implicit equations and two-form fields take points
+stacked on a leading axis through ``numkit.pointwise``, which hands the
+stack to a callable marked by ``numkit.complex_safe`` in one call and
+calls an unmarked one on each point in order, and the difference
+kernel differentiates an unmarked callable one point at a time.  Newton
+solves, the third member of dhc-implicit's triples and ihc's
+accelerations, run one point at a time through the same helper.
 
 All residuals here are exact zeros for variational data, so any value
 above the derivatives' noise floor is meaningful.  The first
-derivatives of embeddings, fiber maps, implicit equations and two-form
-fields built from callables marked by ``numkit.complex_safe`` (as every
-catalogue fiber map and recurrence is) come from the complex step and
-are exact to rounding, so their residuals sit at rounding level (about
-1e-15 relative).  ihc's time derivative of the momentum Jacobian is
-the order-4 stencil applied to the complex-step Jacobian, since one
-complex step cannot be nested in another.  Unmarked callables and the
-nested differences of chc keep the difference stencils, whose floor
-is about 1e-10.  Every function is pure, so evaluating a block at once
-gives the residuals of evaluating its points one by one.
+derivatives of marked callables (as every catalogue fiber map,
+recurrence and force law is) come from the complex step and are exact
+to rounding, so their residuals sit at rounding level (about 1e-15
+relative).  The time derivatives of chc and ihc are the order-4 stencil
+applied to a Jacobian, a complex-step one for marked callables, since
+one complex step cannot be nested in another.  Unmarked callables keep
+the difference stencils, whose floor is about 1e-10, and 1e-9 for the
+nested ones of chc.  Every function is pure, so evaluating a block at
+once gives the residuals of evaluating its points one by one.
 """
 
 from __future__ import annotations
@@ -161,8 +159,9 @@ class FiberMap:
     discrete Lagrangian); kind "plus" attaches it at q1 (the pattern of
     D2).  ``func`` returns the covector components only; the base point
     is implied by the kind.  A ``func`` marked by ``numkit.complex_safe``
-    makes the map, and the embeddings built from it, complex-safe; such
-    a ``func`` also takes points stacked on leading axes.
+    makes the map, and the embeddings built from it, complex-safe.  The
+    map takes points stacked on leading axes, through
+    ``numkit.pointwise``.
     """
 
     dim: int
@@ -177,15 +176,8 @@ class FiberMap:
 
     def __call__(self, q0, q1):
         """``func``'s covector at (q0, q1), one per point of the leading
-        axes, checked for shape; the points and the value keep their
-        dtype, so complex points pass through."""
-        q0 = np.asarray(q0)
-        q1 = np.asarray(q1)
-        p = np.asarray(self.func(q0, q1))
-        expected = numkit.lead_shape(q0, q1) + (self.dim,)
-        if p.shape != expected:
-            raise DomainError(f"fiber map returned shape {p.shape}, expected {expected}")
-        return p
+        axes, checked for shape by ``numkit.pointwise``."""
+        return numkit.pointwise(self.func, (q0, q1), (self.dim,), "fiber map")
 
     def base(self, q0, q1):
         return np.asarray(q0 if self.kind == "minus" else q1, dtype=float)
@@ -261,8 +253,7 @@ def dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, q0, q1):
 
 def _dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, q0, q1):
     """``dhc_explicit``'s residuals and the largest entry of dF at
-    (q0, q1); stacked pairs (S, n), which need a complex-safe fiber map
-    and recurrence, give stacks of both."""
+    (q0, q1); stacked pairs (S, n) give stacks of both."""
     if fiber.kind != "minus":
         raise DomainError("dhc_explicit needs a minus-type fiber map")
     n = fiber.dim
@@ -315,8 +306,7 @@ def dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-
 def _dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
     """``dhc_implicit``'s residuals and the largest entry of dF at
     (q0, q1), read off the fiber block of the triple Jacobian; stacked
-    triples (S, n), which need a complex-safe fiber map and phi, give
-    stacks of both."""
+    triples (S, n) give stacks of both."""
     if fiber.kind != "minus":
         raise DomainError("dhc_implicit needs a minus-type fiber map")
     n = fiber.dim
@@ -337,9 +327,9 @@ def _dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e
 
 def gamma_embedding(fiber: FiberMap, eq: ExplicitSOdE) -> Callable:
     """The pair embedding into two cotangent copies induced by a fiber
-    map and a recurrence; input is stacked z = (q0, q1) of length 2n.
-    It is complex-safe when both ``func`` and ``gamma`` are, and then
-    takes points stacked on leading axes too."""
+    map and a recurrence; input is stacked z = (q0, q1) of length 2n,
+    or a stack of such points on leading axes.  It is complex-safe when
+    both ``func`` and ``gamma`` are."""
     n = fiber.dim
 
     if fiber.kind == "minus":
@@ -391,27 +381,18 @@ def _pullback(embedding: Callable, z, ambient):
 class TwoFormField:
     """A two-form on an m-dimensional chart, given by its coefficient
     matrix field z -> W(z) with W antisymmetric, Omega(u, v) = u^T W v.
-    A ``coeff`` marked by ``numkit.complex_safe`` also takes points
-    stacked on leading axes, so ``check_two_form`` differentiates it at
-    a whole block of samples in one call."""
+    The field takes points stacked on leading axes, through
+    ``numkit.pointwise``; a ``coeff`` marked by ``numkit.complex_safe``
+    gets a whole block of samples, and its derivatives, in one call."""
 
     dim: int
     coeff: Callable
 
     def __call__(self, z):
         """``coeff``'s matrix at z, one per point of the leading axes,
-        checked for shape; the point and the value keep their dtype, so
-        complex points pass through.  An unmarked ``coeff`` is called
-        once per point of a stack."""
-        z = np.asarray(z)
-        if z.ndim > 1 and not numkit.is_complex_safe(self.coeff):
-            return np.stack([self(p) for p in z])
-        w = np.asarray(self.coeff(z))
-        expected = z.shape[:-1] + (self.dim, self.dim)
-        if w.shape != expected:
-            raise DomainError(f"coefficient field returned shape {w.shape}, "
-                              f"expected {expected}")
-        return w
+        checked for shape by ``numkit.pointwise``."""
+        return numkit.pointwise(self.coeff, (z,), (self.dim, self.dim),
+                                "coefficient field")
 
     @staticmethod
     def from_constant(w):
@@ -440,8 +421,8 @@ def two_form_checks(omega: TwoFormField, z, flow: Callable | None = None,
 
     Points stacked on a leading axis (S, m) give one array of S values
     per entry instead of floats; unmarked callables are then evaluated
-    and differentiated one point at a time, complex-safe ones at all
-    points at once.  Returns a dict with:
+    and differentiated one point at a time (``numkit.pointwise``),
+    complex-safe ones at all points at once.  Returns a dict with:
         closure: max over index triples of the cyclic derivative sum
             (zero iff the form is closed);
         vertical: max entry of the block on the kernel subspace of the
@@ -483,9 +464,8 @@ def two_form_checks(omega: TwoFormField, z, flow: Callable | None = None,
     }
     if flow is not None:
         jac = numkit.fd_jacobian4(flow, z)
-        image = (flow(z) if not lead or numkit.is_complex_safe(flow)
-                 else np.stack([flow(p) for p in z]))
-        pulled = _transpose(jac) @ omega(np.asarray(image, dtype=float)) @ jac
+        image = np.asarray(numkit.pointwise(flow, (z,)), dtype=float)
+        pulled = _transpose(jac) @ omega(image) @ jac
         out["lie"] = np.abs(pulled - w).max(axis=(-2, -1))
     if not lead:
         out = {key: float(value) for key, value in out.items()}
@@ -499,10 +479,10 @@ def two_form_checks(omega: TwoFormField, z, flow: Callable | None = None,
 @dataclass
 class ImplicitODE:
     """Continuous implicit second-order equation phi(q, qdot, qddot) = 0
-    with optional analytic acceleration Jacobian ``c``.  A ``phi`` (and
-    ``c``) marked by ``numkit.complex_safe`` also takes points stacked
-    on leading axes, and ``check_ihc`` then evaluates a block of samples
-    at once."""
+    with optional analytic acceleration Jacobian ``c``.  The equation
+    takes points stacked on leading axes, through ``numkit.pointwise``;
+    a ``phi`` marked by ``numkit.complex_safe`` gets a whole block of
+    samples in one call."""
 
     dim: int
     phi: Callable
@@ -510,16 +490,8 @@ class ImplicitODE:
 
     def __call__(self, q, qd, qdd):
         """``phi`` at (q, qd, qdd), one value per point of the leading
-        axes, checked for shape; the points and the value keep their
-        dtype, so complex points pass through."""
-        q = np.asarray(q)
-        qd = np.asarray(qd)
-        qdd = np.asarray(qdd)
-        val = np.asarray(self.phi(q, qd, qdd))
-        expected = numkit.lead_shape(q, qd, qdd) + (self.dim,)
-        if val.shape != expected:
-            raise DomainError(f"phi returned shape {val.shape}, expected {expected}")
-        return val
+        axes, checked for shape by ``numkit.pointwise``."""
+        return numkit.pointwise(self.phi, (q, qd, qdd), (self.dim,), "phi")
 
     def C(self, q, qd, qdd):
         """Jacobian of phi in the acceleration slot: the analytic ``c``
@@ -544,56 +516,64 @@ def chc_classical(phi: Callable, jet):
     velocity block) vanish identically iff phi is the Euler-Lagrange
     expression of some regular Lagrangian.  Total time derivatives are
     expanded along the supplied jet, including the third-derivative
-    component, with nested order-4 stencils so the noise floor stays
-    near 1e-9.
+    component (``_jet_jacobians``).  Jets stacked on a leading axis, each
+    member of shape (S, n), give stacks of the residuals.
     """
     q, qd, qdd, qddd = (np.atleast_1d(np.asarray(p, dtype=float)) for p in jet)
-    n = q.size
-    z = np.concatenate([q, qd, qdd])
-    zdot = np.concatenate([qd, qdd, qddd])
-    flat = lambda zz: np.asarray(phi(zz[:n], zz[n : 2 * n], zz[2 * n :]), dtype=float)
-    jac = numkit.fd_jacobian4(flat, z)
-    aq, ad, add = jac[:, :n], jac[:, n : 2 * n], jac[:, 2 * n :]
-    dt_jac = numkit.fd_directional4(lambda zz: numkit.fd_jacobian4(flat, zz), z, zdot)
-    dt_ad, dt_add = dt_jac[:, n : 2 * n], dt_jac[:, 2 * n :]
-    r1 = add - add.T
-    r2 = (aq - aq.T) - 0.5 * (dt_ad - dt_ad.T)
-    r3 = (ad + ad.T) - (dt_add + dt_add.T)
+    n = q.shape[-1]
+    flat = numkit.complex_safe(
+        lambda zz: phi(zz[..., :n], zz[..., n:2 * n], zz[..., 2 * n:]), phi)
+    jac, dt_jac = _jet_jacobians(flat, np.concatenate([q, qd, qdd], axis=-1),
+                                 np.concatenate([qd, qdd, qddd], axis=-1))
+    aq, ad, add = jac[..., :n], jac[..., n:2 * n], jac[..., 2 * n:]
+    dt_ad, dt_add = dt_jac[..., n:2 * n], dt_jac[..., 2 * n:]
+    r1 = add - _transpose(add)
+    r2 = (aq - _transpose(aq)) - 0.5 * (dt_ad - _transpose(dt_ad))
+    r3 = (ad + _transpose(ad)) - (dt_add + _transpose(dt_add))
     return r1, r2, r3
+
+
+def _jet_jacobians(flat: Callable, z, zdot):
+    """The Jacobian of ``flat`` at z and its total time derivative along
+    zdot.  The Jacobian is order-4 differences, or the complex step when
+    ``flat`` is complex-safe; its time derivative is the order-4 stencil
+    along zdot applied to it (a complex step cannot be nested in
+    another), with all stencil points of a stack in one call.  For
+    unmarked callables the nested stencils leave a noise floor near
+    1e-9."""
+    jac = numkit.fd_jacobian4(flat, z)
+    dt_jac = numkit.fd_directional4(lambda zz: numkit.fd_jacobian4(flat, zz), z, zdot)
+    return jac, dt_jac
 
 
 def chc_implicit(fiber: Callable, ode: ImplicitODE, q, qd, qdd=None):
     """Helmholtz residuals for an implicit equation tested against a
     candidate velocity-space momentum map F(q, qd).
 
-    The acceleration is solved from phi = 0 when not supplied.  The
-    residuals vanish iff F fits the equation variationally; unlike the
-    classical test this never needs the equation solved for qddot in
-    closed form, only the acceleration Jacobian C, which must be
-    regular (SingularJacobian otherwise).
+    The acceleration is solved from phi = 0 when not supplied, one point
+    at a time.  The residuals vanish iff F fits the equation
+    variationally; unlike the classical test this never needs the
+    equation solved for qddot in closed form, only the acceleration
+    Jacobian C, which must be regular (SingularJacobian otherwise).  C is
+    the analytic ``c`` when given, else read off phi's Jacobian in all
+    three slots.
 
-    Points stacked on a leading axis (S, n), which need a complex-safe
-    ``fiber``, ``phi`` and ``c`` (when given), give stacks of the
-    residuals; their accelerations are still solved one point at a
-    time.  The first derivatives of F and phi are then complex steps,
-    and the time derivative of F's Jacobian is the order-4 stencil
-    along (qd, qdd) applied to the complex-step Jacobian (a complex
-    step cannot be nested in another), at all stencil points at once.
+    Points stacked on a leading axis (S, n) give stacks of the
+    residuals.  F's Jacobian and its time derivative along (qd, qdd)
+    come from ``_jet_jacobians``; phi's Jacobian is the complex step for
+    a complex-safe ``phi`` and order-4 differences otherwise.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     qd = np.atleast_1d(np.asarray(qd, dtype=float))
     n = q.shape[-1]
     if qdd is None:
-        qdd = (ode.solve_acceleration(q, qd) if q.ndim == 1 else
-               np.stack([ode.solve_acceleration(a, b) for a, b in zip(q, qd)]))
+        qdd = numkit.pointwise(ode.solve_acceleration, (q, qd))
     qdd = np.atleast_1d(np.asarray(qdd, dtype=float))
 
     z = np.concatenate([q, qd], axis=-1)
-    zdot = np.concatenate([qd, qdd], axis=-1)
     flat = numkit.complex_safe(lambda zz: fiber(zz[..., :n], zz[..., n:]), fiber)
-    jac = numkit.fd_jacobian4(flat, z)
+    jac, dt_jac = _jet_jacobians(flat, z, np.concatenate([qd, qdd], axis=-1))
     fq, fd = jac[..., :n], jac[..., n:]
-    dt_jac = numkit.fd_directional4(lambda zz: numkit.fd_jacobian4(flat, zz), z, zdot)
     dt_fq, dt_fd = dt_jac[..., :n], dt_jac[..., n:]
 
     # phi's Jacobian in all three slots; its last block is C unless c is given
@@ -601,7 +581,8 @@ def chc_implicit(fiber: Callable, ode: ImplicitODE, q, qd, qdd=None):
         lambda zz: ode(zz[..., :n], zz[..., n:2 * n], zz[..., 2 * n:]), ode.phi),
         np.concatenate([z, qdd], axis=-1))
     jq, jd = jphi[..., :n], jphi[..., n:2 * n]
-    cmat = jphi[..., 2 * n:] if ode.c is None else ode.C(q, qd, qdd)
+    cmat = (jphi[..., 2 * n:] if ode.c is None
+            else np.asarray(numkit.pointwise(ode.c, (q, qd, qdd)), dtype=float))
     fd_cinv = _transpose(numkit.lu_solve(_transpose(cmat), _transpose(fd)))  # Fd @ C^{-1}
 
     r1 = fd - _transpose(fd)
@@ -702,8 +683,7 @@ def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float
     points, in sample order, and returns one residual per name (an
     array stacked over the block's points, matrix or scalar per point)
     and the size of the data at each point, such as the largest
-    Jacobian entry; ``_per_point`` lifts a function of one point to
-    this form.  Each condition keeps its worst residual and the point
+    Jacobian entry.  Each condition keeps its worst residual and the point
     where it occurred (a tie goes to the later point).  The effective
     tolerance is tol * max(1, s) with s the largest size over all
     points: residuals of well-scaled data are compared as-is, steep
@@ -713,7 +693,8 @@ def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float
     in sample order decides the error, as in a point-by-point loop: a
     block whose evaluation raises is evaluated again one point at a
     time, and a NumericsError of one point's evaluation gets the check
-    and the point added to its message.
+    and the point added to its message; any other exception, such as a
+    bug in a user callable, surfaces as itself.
     """
     if len(points) == 0 or np.size(points[0]) == 0:  # atleast_2d([]) is one empty point
         raise DomainError(f"{check} needs at least one sample point")
@@ -772,18 +753,6 @@ def _blocks(check: str, residuals_at: Callable, points):
             yield block[i:i + 1], result
 
 
-def _per_point(residuals_at: Callable) -> Callable:
-    """Lift ``residuals_at(z) -> (residuals, size)`` at one point to the
-    block form ``_sampled_check`` takes, calling it on each point of a
-    block in order."""
-
-    def at_block(block):
-        residuals, sizes = zip(*(residuals_at(z) for z in block))
-        return list(zip(*residuals)), sizes
-
-    return at_block
-
-
 def _require_finite(check, condition, value, z):
     if not value < np.inf:  # NaN fails the comparison too
         raise EvaluationError(f"{check}: non-finite {condition} at point {_coords(z)}")
@@ -803,12 +772,9 @@ def check_dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, samples,
     obstruction was found at these points.
     """
     n = fiber.dim
-    if numkit.is_complex_safe(fiber.func, eq.gamma):
-        residuals_at = lambda block: _dhc_explicit(fiber, eq, block[:, :n], block[:, n:])
-    else:  # callables without the mark take one point at a time
-        residuals_at = _per_point(lambda z: _dhc_explicit(fiber, eq, z[:n], z[n:]))
     return _sampled_check(
-        "dhc-explicit", ("dHC1", "dHC2", "dHC3"), residuals_at,
+        "dhc-explicit", ("dHC1", "dHC2", "dHC3"),
+        lambda block: _dhc_explicit(fiber, eq, block[:, :n], block[:, n:]),
         np.atleast_2d(np.asarray(samples, dtype=float)), tol, system, params)
 
 
@@ -816,18 +782,14 @@ def check_dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, samples,
                        tol: float = 1e-6, system: str = "", params: dict | None = None):
     """Sampled implicit discrete Helmholtz verdict; samples are pair
     points, the third triple member is solved from phi = 0, one point
-    at a time.  With a complex-safe fiber map and phi the rest of a
-    block is evaluated at once."""
+    at a time."""
     n = fiber.dim
 
     def residuals_at(block):
         q0, q1 = block[:, :n], block[:, n:]
-        q2 = np.stack([implicit_step(eq, a, b) for a, b in zip(q0, q1)])
+        q2 = numkit.pointwise(lambda a, b: implicit_step(eq, a, b), (q0, q1))
         return _dhc_implicit(fiber, eq, q0, q1, q2)
 
-    if not numkit.is_complex_safe(fiber.func, eq.phi):
-        residuals_at = _per_point(lambda z: _dhc_implicit(
-            fiber, eq, z[:n], z[n:], implicit_step(eq, z[:n], z[n:])))
     return _sampled_check(
         "dhc-implicit", ("dHC1", "dHC2", "dHC3"), residuals_at,
         np.atleast_2d(np.asarray(samples, dtype=float)), tol, system, params)
@@ -873,29 +835,25 @@ def check_chc(phi: Callable, jets, tol: float = 1e-6,
               system: str = "", params: dict | None = None):
     """Classical Helmholtz verdict along a list of jets; the worst point
     of a condition is its jet flattened to (q, qd, qdd, qddd)."""
-    flat_jets = [np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in jet])
-                 for jet in jets]
+    flat_jets = np.array([
+        np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in jet])
+        for jet in jets])
     return _sampled_check(
         "chc", ("cHC1", "cHC2", "cHC3"),
-        _per_point(lambda z: (chc_classical(phi, np.split(z, 4)), 1.0)),
+        lambda block: (chc_classical(phi, np.split(block, 4, axis=-1)), np.ones(len(block))),
         flat_jets, tol, system, params)
 
 
 def check_ihc(fiber: Callable, ode: ImplicitODE, points, tol: float = 1e-6,
               system: str = "", params: dict | None = None):
-    """Implicit continuous Helmholtz verdict at stacked (q, qd) points.
-    With a complex-safe ``fiber``, ``phi`` and ``c`` (when given), a
-    block of points is evaluated at once, bar the accelerations."""
+    """Implicit continuous Helmholtz verdict at stacked (q, qd) points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[1] // 2
-    if numkit.is_complex_safe(fiber, ode.phi) and (ode.c is None
-                                                   or numkit.is_complex_safe(ode.c)):
-        residuals_at = lambda block: (chc_implicit(fiber, ode, block[:, :n], block[:, n:]),
-                                      np.ones(len(block)))
-    else:
-        residuals_at = _per_point(lambda z: (chc_implicit(fiber, ode, z[:n], z[n:]), 1.0))
-    return _sampled_check("ihc", ("IHC1", "IHC2", "IHC3"), residuals_at, points, tol,
-                          system, params)
+    return _sampled_check(
+        "ihc", ("IHC1", "IHC2", "IHC3"),
+        lambda block: (chc_implicit(fiber, ode, block[:, :n], block[:, n:]),
+                       np.ones(len(block))),
+        points, tol, system, params)
 
 
 def check_functional(f: Callable, g: Callable, points, tol: float = 1e-10,
@@ -905,7 +863,7 @@ def check_functional(f: Callable, g: Callable, points, tol: float = 1e-10,
     compatibility equation."""
     return _sampled_check(
         "functional", ("functional",),
-        _per_point(lambda z: ((_functional_residual(f, g, z[0], z[1], fx),), 1.0)),
+        lambda block: ((functional_residual_1d(f, g, block, fx)[1],), np.ones(len(block))),
         np.asarray(points, dtype=float).reshape(-1, 2), tol, system, params)
 
 

@@ -11,22 +11,22 @@ are fixed here once:
   ``fd_jacobian4``, ``fd_directional4``) run in one kernel over a
   stencil table, which rejects a non-finite difference, so a NaN at any
   stencil point raises EvaluationError;
-* a callable marked by ``complex_safe`` (one that computes with complex
-  points as it does with real ones, so its values are analytic in
-  them, and over leading axes of stacked points) is differentiated by
-  that kernel's complex-step row instead: one evaluation per direction
-  at a step of COMPLEX_STEP_SCALE, the derivative
-  ``Im f(x + i t e_k) / t``, which takes no difference and is exact to
-  rounding.  All directions of all points of a stack (S, n) go to the
-  callable in one call.  The catalogue's fiber maps and recurrences
-  carry the mark, as do extended-disk's ``d12`` and implicit-exp's
-  ``phi``, ``c`` and momentum, and so do the embeddings, slot maps and
-  two-form fields ``helmholtz``, ``sode`` and ``systems`` build from
-  marked parts.  Every other callable keeps its stencil, one point at a
-  time, except in a derivative along directions at a stack of points:
-  there all stencil points of the stack go to the callable in one
-  call, so it must compute over the leading axis (ihc takes the time
-  derivative of a complex-step Jacobian so);
+* a callable marked by ``complex_safe`` computes with complex points as
+  it does with real ones, so its values are analytic in them, and over
+  leading axes of stacked points.  In the difference kernel the mark
+  selects the complex-step row: one evaluation per direction at a step
+  of COMPLEX_STEP_SCALE, the derivative ``Im f(x + i t e_k) / t``,
+  which takes no difference and is exact to rounding, with all
+  directions of all points of a stack (S, n) in one call.  Outside the
+  kernel it decides one thing: whether ``pointwise``, through which
+  every callable meets a stack, hands the stack over in one call or
+  calls the callable on each point in order.  The one exception is a
+  derivative along directions at a stack of points, which hands all its
+  stencil points to the callable in one call (ihc takes the time
+  derivative of a Jacobian so).  The catalogue's fiber maps and
+  recurrences carry the mark, as do extended-disk's ``d12`` and
+  implicit-exp's force law, ``c`` and momentum, and so do the
+  embeddings, slot maps and two-form fields built from marked parts;
 * every linear system goes through one path, ``lu_solve``: LAPACK's
   partial-pivot LU plus a row-scaled conditioning test, so a singular or
   near-singular Jacobian surfaces as SingularJacobian instead of NaNs or
@@ -122,22 +122,48 @@ def complex_safe(f, *parts):
     axes: given points stacked as (..., n), indexing coordinates with
     ``[..., k]``, it returns its values stacked the same way.  The
     difference kernel then takes its derivatives by the complex step,
-    with one call on all its complex-step points.
+    with one call on all its complex-step points, and ``pointwise``
+    hands it a stack in one call instead of point by point.
     """
     if is_complex_safe(*parts):
         setattr(f, _MARK, True)
     return f
 
 
-def lead_shape(*points):
-    """The leading (stack) shape of points whose last axis holds the
-    coordinates: that of the point with the most axes, against which
-    the others broadcast."""
-    shape = points[0].shape
-    for p in points[1:]:
+def pointwise(f, points, tail=None, what="callable"):
+    """``f(*points)`` for points whose last axis holds the coordinates,
+    stacked on leading axes that broadcast against those of the point
+    with the most axes.
+
+    A marked ``f`` computes over the leading axes itself, and 1-D points
+    are a single point, so either goes straight to ``f``.  Otherwise
+    ``f`` is called on each point of the stack in order, and its values
+    are stacked on the leading axes; an empty stack gives zeros of
+    shape leading axes + ``tail``.  With ``tail`` given, the value
+    must have the shape leading axes + ``tail`` (DomainError naming
+    ``what`` otherwise).  The points and the value keep their dtype, so
+    complex points pass through.
+    """
+    arrays = []
+    shape = ()
+    for p in points:  # one plain loop: the cheapest form on the 1-D Newton path
+        p = np.asarray(p)
+        arrays.append(p)
         if p.ndim > len(shape):
             shape = p.shape
-    return shape[:-1]
+    lead = shape[:-1]
+    if lead and not getattr(f, _MARK, False):
+        rows = [np.broadcast_to(p, lead + p.shape[-1:]).reshape(-1, p.shape[-1])
+                for p in arrays]
+        values = [np.asarray(f(*point)) for point in zip(*rows)]
+        # an empty stack has no point to call f on
+        value = (np.stack(values).reshape(lead + values[0].shape) if values
+                 else np.zeros(lead + (tail or ())))
+    else:
+        value = np.asarray(f(*arrays))
+    if tail is not None and value.shape != lead + tail:
+        raise DomainError(f"{what} returned shape {value.shape}, expected {lead + tail}")
+    return value
 
 
 def _central(f, x, stencil, name, direction=None):

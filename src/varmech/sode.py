@@ -31,7 +31,8 @@ class ExplicitSOdE:
     """Explicit recurrence q2 = gamma(q0, q1) on an n-dimensional space.
 
     A ``gamma`` marked by ``numkit.complex_safe`` makes the maps built
-    from the recurrence complex-safe.
+    from the recurrence complex-safe.  Any ``gamma`` takes points stacked
+    on leading axes, through ``numkit.pointwise``.
     """
 
     dim: int
@@ -43,15 +44,8 @@ class ExplicitSOdE:
 
     def __call__(self, q0, q1):
         """``gamma``'s next point, one per point of the leading axes,
-        checked for shape; the points and the value keep their dtype, so
-        complex points pass through."""
-        q0 = np.asarray(q0)
-        q1 = np.asarray(q1)
-        q2 = np.asarray(self.gamma(q0, q1))
-        expected = numkit.lead_shape(q0, q1) + (self.dim,)
-        if q2.shape != expected:
-            raise DomainError(f"gamma returned shape {q2.shape}, expected {expected}")
-        return q2
+        checked for shape by ``numkit.pointwise``."""
+        return numkit.pointwise(self.gamma, (q0, q1), (self.dim,), "gamma")
 
     def flow(self, q0, q1):
         """The pair-space map (q0, q1) -> (q1, gamma(q0, q1))."""
@@ -69,12 +63,13 @@ class ExplicitSOdE:
 class ImplicitSOdE:
     """Implicit recurrence phi(q0, q1, q2) = 0.
 
-    ``c`` may carry the analytic last-slot Jacobian; otherwise central
-    differences are used.  The equation is well posed near points where
-    that matrix is invertible.  A ``phi`` marked by
-    ``numkit.complex_safe`` makes ``tangent_basis`` differentiate it,
-    C included, by the complex step, on stacks of triples too; ``c``
-    then serves the Newton solve of ``implicit_step``.
+    ``c`` may carry the analytic last-slot Jacobian C; otherwise C comes
+    from differences of phi.  The equation is well posed near points
+    where C is invertible.  ``c`` serves the Newton solve of
+    ``implicit_step`` and the tangent basis alike.  A ``phi`` marked by
+    ``numkit.complex_safe`` makes ``tangent_basis`` differentiate it by
+    the complex step; any ``phi`` and ``c`` take triples stacked on
+    leading axes, through ``numkit.pointwise``.
     """
 
     dim: int
@@ -87,16 +82,8 @@ class ImplicitSOdE:
 
     def __call__(self, q0, q1, q2):
         """``phi`` at the triple, one value per point of the leading axes,
-        checked for shape; the points and the value keep their dtype, so
-        complex points pass through."""
-        q0 = np.asarray(q0)
-        q1 = np.asarray(q1)
-        q2 = np.asarray(q2)
-        val = np.asarray(self.phi(q0, q1, q2))
-        expected = numkit.lead_shape(q0, q1, q2) + (self.dim,)
-        if val.shape != expected:
-            raise DomainError(f"phi returned shape {val.shape}, expected {expected}")
-        return val
+        checked for shape by ``numkit.pointwise``."""
+        return numkit.pointwise(self.phi, (q0, q1, q2), (self.dim,), "phi")
 
     def C(self, q0, q1, q2):
         """Jacobian of phi in the q2 slot, shape (n, n)."""
@@ -133,25 +120,21 @@ def tangent_basis(eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
     triple, each of shape (n, 3n); row i holds the coefficients of A_i
     (resp. B_i) in the coordinate frame (q0, q1, q2).
 
-    For a complex-safe ``phi`` one complex step of the map (q0, q1, q2)
-    -> phi gives the slot Jacobians and C together, and the triples may
-    be stacked on a leading axis (S, n), giving stacks (S, n, 3n) of
-    both bases.  Otherwise the slot Jacobians come from order-2
-    differences of (q0, q1) -> phi(q0, q1, q2) and C from
-    ``ImplicitSOdE.C``, at one triple.  Raises SingularJacobian where C
-    is singular at working precision."""
+    Triples stacked on a leading axis (S, n) give stacks (S, n, 3n) of
+    both bases.  One Jacobian of the map (q0, q1, q2) -> phi, by the
+    complex step for a complex-safe ``phi`` and by order-2 differences
+    otherwise, gives the slot Jacobians, and C too unless ``c`` gives it.
+    Raises SingularJacobian where C is singular at working precision."""
     eq.require_on_manifold(q0, q1, q2, tol)
     n = eq.dim
     q0, q1, q2 = (np.asarray(q, dtype=float) for q in (q0, q1, q2))
-    if numkit.is_complex_safe(eq.phi):
-        jac = numkit.fd_jacobian(
-            numkit.complex_safe(lambda z: eq(z[..., :n], z[..., n:2 * n], z[..., 2 * n:]),
-                                eq.phi),
-            np.concatenate([q0, q1, q2], axis=-1))
-        slots, cmat = jac[..., :2 * n], jac[..., 2 * n:]
-    else:
-        cmat = eq.C(q0, q1, q2)
-        slots = numkit.fd_jacobian(lambda z: eq(z[:n], z[n:], q2), np.concatenate([q0, q1]))
+    jac = numkit.fd_jacobian(
+        numkit.complex_safe(lambda z: eq(z[..., :n], z[..., n:2 * n], z[..., 2 * n:]),
+                            eq.phi),
+        np.concatenate([q0, q1, q2], axis=-1))
+    slots = jac[..., :2 * n]
+    cmat = (jac[..., 2 * n:] if eq.c is None
+            else np.asarray(numkit.pointwise(eq.c, (q0, q1, q2)), dtype=float))
     corr0 = numkit.lu_solve(cmat, slots[..., :n])
     corr1 = numkit.lu_solve(cmat, slots[..., n:])
     a = np.zeros(q0.shape[:-1] + (n, 3 * n))

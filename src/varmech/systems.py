@@ -26,7 +26,7 @@ Builders take keyword parameters (step size and system constants) and
 return small bundles of callables; ``make_system`` looks entries up by
 name for the command line.  Every fiber map and recurrence here is
 marked by ``numkit.complex_safe``, and so are extended-disk's ``d12``
-and implicit-exp's ``phi``, ``c`` and momentum, so the checks
+and implicit-exp's force law, ``c`` and momentum, so the checks
 differentiate them by the complex step; like every marked callable
 they index coordinates with ``[..., k]`` and so also take points
 stacked on leading axes.  The ``d12`` of the other Lagrangians stays
@@ -489,8 +489,11 @@ class ImplicitForceSystem:
     def dim(self):
         return self.ode.dim
 
-    def force(self, q, qd, qdd):
-        return self.ode(q, qd, qdd)
+    @property
+    def force(self):
+        """The force expression (q, qd, qdd) -> phi, complex-safe when
+        ``phi`` is."""
+        return complex_safe(lambda q, qd, qdd: self.ode(q, qd, qdd), self.ode.phi)
 
     def probes(self, count: int, seed: int = 0, box: float = 0.8):
         """Stacked (q, qd) sample points for the implicit test."""

@@ -254,8 +254,14 @@ def test_implicit_ode_takes_stacked_points():
     assert ode.C(q, qd, qdd).shape == (5, 2, 2)
     # a marked phi keeps the points' dtype, so complex steps pass through
     assert ode(q + 1e-30j, qd, qdd).dtype == complex
+    # an unmarked phi is called point by point; a marked one must
+    # compute over the leading axis
+    plain = hz.ImplicitODE(dim=2, phi=lambda q, qd, qdd: qdd - q)
+    assert plain(q, qd, qdd).tobytes() == np.stack(
+        [plain(q[i], qd[i], qdd[i]) for i in range(5)]).tobytes()
     with pytest.raises(DomainError, match=r"phi returned shape \(2,\), expected \(5, 2\)"):
-        hz.ImplicitODE(dim=2, phi=lambda q, qd, qdd: np.zeros(2))(q, qd, qdd)
+        hz.ImplicitODE(dim=2, phi=numkit.complex_safe(lambda q, qd, qdd: np.zeros(2)))(
+            q, qd, qdd)
 
 
 def test_chc_implicit_of_a_stack_is_the_stack_of_residuals():
@@ -690,6 +696,38 @@ def test_check_ihc_matches_exact_linear_residuals(n, tol, marked):
     _assert_exact_verdicts(report, exact, tol)
 
 
+def _linear_chc_case(mm, dm, km, marked):
+    """The force expression phi = M qdd + D qd + K q with constant
+    matrices and its exact cHC residuals: phi's Jacobian is constant, so
+    every time derivative vanishes and they are M - M', K - K' and
+    D + D'."""
+    if marked:
+        phi = numkit.complex_safe(lambda q, qd, qdd: qdd @ mm.T + qd @ dm.T + q @ km.T)
+    else:
+        phi = lambda q, qd, qdd: mm @ qdd + dm @ qd + km @ q
+    return phi, [mm - mm.T, km - km.T, dm + dm.T]
+
+
+@pytest.mark.parametrize("marked", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_chc_matches_exact_linear_residuals(n, marked):
+    rng = np.random.default_rng(700 + n)
+    mm, dm, km = rng.normal(size=(3, n, n))
+    phi, exact = _linear_chc_case(mm, dm, km, marked)
+    bound = 1e-11 if marked else 1e-8
+    count = hz.SAMPLE_CHUNK + 3
+    jets = [tuple(jet) for jet in rng.uniform(-1.0, 1.0, size=(count, 4, n))]
+    # the residual matrices at every jet of a stack, and the report
+    stacked = hz.chc_classical(phi, [np.stack(part) for part in zip(*jets)])
+    for r, want in zip(stacked, exact):
+        assert r.shape == (count, n, n)
+        assert np.max(np.abs(r - want)) <= bound
+    report = hz.check_chc(phi, jets, tol=1e-7)
+    for cond, want in zip(report.conditions, exact):
+        assert abs(cond.max_residual - float(np.max(np.abs(want)))) <= bound
+        assert cond.passed == (float(np.max(np.abs(want))) <= 1e-7)
+
+
 def _antisymmetric_stack(rng, m):
     """m random antisymmetric m-by-m matrices A_k, stacked (m, m, m)."""
     g = rng.normal(size=(m, m, m))
@@ -930,9 +968,39 @@ def _point_by_point(monkeypatch, run):
         return run()
 
 
+def _plain(f):
+    """``f`` without the complex-safe mark: called one point at a time."""
+    return lambda *args: f(*args)
+
+
 def _block_run(which, count):
-    """A check over ``count`` samples whose callables are complex-safe,
-    so each of its blocks is evaluated at once."""
+    """A check over ``count`` samples; its callables are complex-safe,
+    or unmarked wrappers of the catalogue's for the ``-unmarked``
+    variants."""
+    if which == "dhc-explicit-unmarked":
+        bundle = systems.make_system("backward-error")
+        fiber = hz.FiberMap(dim=1, func=_plain(bundle.fiber.func))
+        eq = ExplicitSOdE(dim=1, gamma=_plain(bundle.recurrence.gamma))
+        return lambda: hz.check_dhc_explicit(fiber, eq, hz.sample_box(2, count, seed=5),
+                                             tol=1e-8)
+    if which in ("dhc-implicit-unmarked", "dhc-implicit-unmarked-without-c"):
+        bundle = systems.make_system("exp-recurrence")
+        c = bundle.equation.c if which == "dhc-implicit-unmarked" else None
+        eq = ImplicitSOdE(dim=1, phi=_plain(bundle.equation.phi), c=c)
+        fiber = hz.FiberMap(dim=1, func=_plain(bundle.fiber.func))
+        return lambda: hz.check_dhc_implicit(fiber, eq, hz.sample_box(2, count, seed=5),
+                                             tol=1e-8)
+    if which == "ihc-unmarked":
+        bundle = systems.make_system("implicit-exp")
+        ode = hz.ImplicitODE(dim=2, phi=_plain(bundle.ode.phi), c=_plain(bundle.ode.c))
+        return lambda: hz.check_ihc(_plain(bundle.momentum), ode,
+                                    bundle.probes(count, seed=5), tol=1e-7)
+    if which in ("chc", "chc-unmarked"):
+        bundle = systems.make_system("implicit-exp")
+        phi = bundle.force if which == "chc" else _plain(bundle.force)
+        jets = [tuple(jet) for jet in
+                np.random.default_rng(5).uniform(-0.5, 0.5, size=(count, 4, 2))]
+        return lambda: hz.check_chc(phi, jets, tol=1e-7)
     if which in ("turn-ratio", "doubled-rate"):
         disk = systems.make_system("rolling-disk")
         embed = disk.chart_embedding(disk.fibers[which], rule_from_spec("euler-a"))
@@ -964,8 +1032,10 @@ def _block_run(which, count):
     return lambda: hz.check_two_form(omega, hz.sample_box(2, count, seed=5), flow=flow)
 
 
-@pytest.mark.parametrize("which", ["turn-ratio", "doubled-rate", "dhc-explicit",
-                                   "dhc-implicit", "ihc", "two-form", "two-form-unmarked"])
+@pytest.mark.parametrize("which", [
+    "turn-ratio", "doubled-rate", "dhc-explicit", "dhc-implicit", "ihc", "chc", "two-form",
+    "dhc-explicit-unmarked", "dhc-implicit-unmarked", "dhc-implicit-unmarked-without-c",
+    "ihc-unmarked", "chc-unmarked", "two-form-unmarked"])
 def test_blocks_match_point_by_point_reference(monkeypatch, which):
     # verdicts, residuals, worst points, tol and params, byte for byte
     run = _block_run(which, hz.SAMPLE_CHUNK + 3)
@@ -1089,3 +1159,80 @@ def test_singular_c_in_a_later_block_of_dhc_implicit_names_the_first_bad_point(m
     assert str(batched.value) == str(reference.value)
     # without the two singular samples the check passes
     assert hz.check_dhc_implicit(fiber, eq, samples[:chunk + 1]).verdict
+
+
+def _failing_at(bad, error):
+    """A wrapper that raises ``error`` when its flattened arguments lie
+    within the order-4 stencil of one of the ``bad`` sample points, on
+    the coordinates the two share (a jet's q, qd and qdd)."""
+    def wrap(f):
+        def call(*args):
+            z = np.concatenate([np.ravel(a) for a in args])
+            k = min(z.size, len(bad[0]))
+            for point in bad:
+                if np.max(np.abs(z[:k] - point[:k])) < 5e-3:
+                    raise error
+            return f(*args)
+        return call
+    return wrap
+
+
+def _unmarked_bug_run(which, samples, wrap):
+    """One check whose unmarked fiber map or phi goes through ``wrap``."""
+    if which == "dhc-explicit":
+        bundle = systems.make_system("backward-error")
+        fiber = hz.FiberMap(dim=1, func=wrap(bundle.fiber.func))
+        eq = ExplicitSOdE(dim=1, gamma=_plain(bundle.recurrence.gamma))
+        return lambda: hz.check_dhc_explicit(fiber, eq, samples)
+    if which == "dhc-implicit":
+        bundle = systems.make_system("exp-recurrence")
+        eq = ImplicitSOdE(dim=1, phi=wrap(bundle.equation.phi), c=bundle.equation.c)
+        return lambda: hz.check_dhc_implicit(bundle.fiber, eq, samples)
+    bundle = systems.make_system("implicit-exp")
+    if which == "ihc":
+        ode = hz.ImplicitODE(dim=2, phi=wrap(bundle.ode.phi), c=bundle.ode.c)
+        return lambda: hz.check_ihc(bundle.momentum, ode, samples)
+    jets = [tuple(np.split(z, 4)) for z in samples]
+    return lambda: hz.check_chc(wrap(bundle.force), jets)
+
+
+_BUG_WIDTHS = {"dhc-explicit": 2, "dhc-implicit": 2, "ihc": 4, "chc": 8}
+
+
+def _samples_with_isolated_points(width, count, first, second):
+    """``count`` samples of the given width, box 0.5, in which samples
+    ``first`` and ``second`` lie at least 2e-2 from every other one."""
+    samples = hz.sample_box(width, count, box=0.5, seed=3)
+    for i in (first, second):
+        gaps = np.max(np.abs(np.delete(samples, i, axis=0) - samples[i]), axis=1)
+        assert gaps.min() > 2e-2
+    return samples
+
+
+@pytest.mark.parametrize("which", sorted(_BUG_WIDTHS))
+def test_a_bug_in_an_unmarked_callable_surfaces_as_itself(which):
+    chunk = hz.SAMPLE_CHUNK
+    samples = _samples_with_isolated_points(_BUG_WIDTHS[which], chunk + 3,
+                                            chunk + 1, chunk + 2)
+    run = _unmarked_bug_run(which, samples,
+                            _failing_at([samples[chunk + 1]], ValueError("user bug")))
+    with pytest.raises(ValueError, match="user bug") as caught:
+        run()
+    assert type(caught.value) is ValueError
+
+
+@pytest.mark.parametrize("which", sorted(_BUG_WIDTHS))
+def test_numerics_error_of_an_unmarked_callable_names_the_check_and_first_point(
+        monkeypatch, which):
+    chunk = hz.SAMPLE_CHUNK
+    samples = _samples_with_isolated_points(_BUG_WIDTHS[which], chunk + 3,
+                                            chunk + 1, chunk + 2)
+    first, second = samples[chunk + 1], samples[chunk + 2]
+    run = _unmarked_bug_run(which, samples, _failing_at(
+        [second, first], EvaluationError("callable failed")))
+    message = re.escape(f"{which} at point {first.tolist()}: callable failed")
+    with pytest.raises(EvaluationError, match=message) as batched:
+        run()
+    with pytest.raises(EvaluationError, match=message) as reference:
+        _point_by_point(monkeypatch, run)
+    assert str(batched.value) == str(reference.value)

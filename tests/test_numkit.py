@@ -175,6 +175,31 @@ def test_complex_safe_mark_propagates_only_from_marked_parts():
                        "complex_safe", False)
 
 
+def test_pointwise_lifts_an_unmarked_callable_over_stacked_points():
+    calls = []
+
+    def f(a, b):  # written for one point
+        calls.append(a.shape)
+        return np.array([a[0] * b[1], a[0] + b[0]])
+
+    a = np.arange(6.0).reshape(3, 2)
+    b = np.array([0.5, -1.0])  # one point, broadcast against the stack
+    value = numkit.pointwise(f, (a, b), (2,), "f")
+    assert value.tobytes() == np.stack([f(p, b) for p in a]).tobytes()
+    assert calls[:3] == [(2,)] * 3
+    # leading axes keep their shape, and 1-D points go straight through
+    stack = numkit.pointwise(f, (a.reshape(3, 1, 2), b))
+    assert stack.shape == (3, 1, 2) and stack.tobytes() == value.tobytes()
+    assert numkit.pointwise(f, (a[0], b)).tobytes() == f(a[0], b).tobytes()
+    # a marked callable gets the stack in one call, and must return it
+    marked = numkit.complex_safe(lambda a, b: a * b)
+    assert numkit.pointwise(marked, (a + 1e-30j, b)).dtype == complex
+    with pytest.raises(DomainError, match=r"g returned shape \(2,\), expected \(3, 2\)"):
+        numkit.pointwise(numkit.complex_safe(lambda a, b: b), (a, b), (2,), "g")
+    # an empty stack has no point to call f on
+    assert numkit.pointwise(f, (a[:0], b), (2,)).shape == (0, 2)
+
+
 @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
 def test_complex_safe_callable_that_casts_to_float_raises():
     # the cast drops the imaginary part: a silent zero derivative

@@ -160,9 +160,13 @@ def test_implicit_equation_takes_stacked_points():
     values = eq(z[:, :1], z[:, 1:2], z[:, 2:])
     assert values.shape == (2, 1)
     assert_allclose(values[:, 0], np.exp(z[:, 2] - 2 * z[:, 1] + z[:, 0]) - 1.0)
+    # an unmarked phi is called point by point; a marked one must
+    # compute over the leading axis
+    plain = sode.ImplicitSOdE(dim=1, phi=lambda a, b, c: np.exp(c - 2 * b + a) - 1.0)
+    assert plain(z[:, :1], z[:, 1:2], z[:, 2:]).tobytes() == values.tobytes()
     with pytest.raises(DomainError, match=r"phi returned shape \(1,\), expected \(2, 1\)"):
-        sode.ImplicitSOdE(dim=1, phi=lambda a, b, c: np.zeros(1))(z[:, :1], z[:, 1:2],
-                                                                  z[:, 2:])
+        sode.ImplicitSOdE(dim=1, phi=numkit.complex_safe(lambda a, b, c: np.zeros(1)))(
+            z[:, :1], z[:, 1:2], z[:, 2:])
 
 
 def _marked_planar_equation():
