@@ -495,9 +495,12 @@ class ImplicitODE:
 
     def C(self, q, qd, qdd):
         """Jacobian of phi in the acceleration slot: the analytic ``c``
-        when given, else order-4 differences at one point."""
+        when given, one (n, n) matrix per point of the leading axes,
+        checked for shape by ``numkit.pointwise``; else order-4
+        differences at one point."""
         if self.c is not None:
-            return np.asarray(self.c(q, qd, qdd), dtype=float)
+            return np.asarray(numkit.pointwise(self.c, (q, qd, qdd), (self.dim, self.dim),
+                                               "c"), dtype=float)
         return numkit.fd_jacobian4(lambda a: self(q, qd, a), np.asarray(qdd, dtype=float))
 
     def solve_acceleration(self, q, qd):
@@ -581,8 +584,7 @@ def chc_implicit(fiber: Callable, ode: ImplicitODE, q, qd, qdd=None):
         lambda zz: ode(zz[..., :n], zz[..., n:2 * n], zz[..., 2 * n:]), ode.phi),
         np.concatenate([z, qdd], axis=-1))
     jq, jd = jphi[..., :n], jphi[..., n:2 * n]
-    cmat = (jphi[..., 2 * n:] if ode.c is None
-            else np.asarray(numkit.pointwise(ode.c, (q, qd, qdd)), dtype=float))
+    cmat = jphi[..., 2 * n:] if ode.c is None else ode.C(q, qd, qdd)
     fd_cinv = _transpose(numkit.lu_solve(_transpose(cmat), _transpose(fd)))  # Fd @ C^{-1}
 
     r1 = fd - _transpose(fd)

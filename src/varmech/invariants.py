@@ -21,6 +21,8 @@ from .helmholtz import TwoFormField
 def recursion_operator(primary: TwoFormField, secondary: TwoFormField) -> Callable:
     """The field z -> W_primary(z)^{-1} W_secondary(z).
 
+    Points stacked on leading axes (S, m) give a stack (S, m, m) of
+    operators, each with the bits of the operator at its point alone.
     Raises SingularJacobian through the linear solver wherever the
     primary form is degenerate.
     """
@@ -34,23 +36,25 @@ def recursion_operator(primary: TwoFormField, secondary: TwoFormField) -> Callab
         w2 = secondary(z)
         # one solve per column: a single matrix solve rounds differently
         # in the last bits, which would move the orbit values
-        cols = [numkit.lu_solve(w1, w2[:, j]) for j in range(secondary.dim)]
-        return np.column_stack(cols)
+        cols = [numkit.lu_solve(w1, w2[..., j]) for j in range(secondary.dim)]
+        return np.stack(cols, axis=-1)
 
     return operator
 
 
 def trace_powers(operator: Callable, z, max_power: int = 2):
-    """Traces of A(z)^k for k = 1 .. max_power."""
+    """Traces of A(z)^k for k = 1 .. max_power; points stacked on leading
+    axes, which ``operator`` must take as ``recursion_operator``'s does,
+    give one row of traces per point."""
     if max_power < 1:
         raise DomainError("max_power must be at least 1")
     a = np.asarray(operator(z), dtype=float)
-    out = np.empty(max_power)
+    out = np.empty(a.shape[:-2] + (max_power,))
     current = a
-    out[0] = np.trace(current)
+    out[..., 0] = np.trace(current, axis1=-2, axis2=-1)
     for k in range(1, max_power):
         current = current @ a
-        out[k] = np.trace(current)
+        out[..., k] = np.trace(current, axis1=-2, axis2=-1)
     return out
 
 
@@ -75,8 +79,13 @@ def series_along_orbit(recurrence: Callable, q0, q1, steps: int,
 
 def pair_operator_on_orbit(operator: Callable, recurrence: Callable, q0, q1,
                            steps: int, max_power: int = 2):
-    """Trace powers of the operator along an orbit, stacked row-wise."""
-    return series_along_orbit(
-        recurrence, q0, q1, steps,
-        lambda a, b: trace_powers(operator, np.concatenate([a, b]), max_power),
-    )
+    """Trace powers of the operator along an orbit, stacked row-wise.
+
+    The operator, such as ``recursion_operator``'s, must take pairs
+    stacked on leading axes: the trace powers are evaluated a block of
+    pairs at a time (``numkit.pair_series``), each row with the bits of
+    ``trace_powers`` at its pair alone.
+    """
+    # marked as computing over leading axes; it is never differentiated
+    return series_along_orbit(recurrence, q0, q1, steps, numkit.complex_safe(
+        lambda a, b: trace_powers(operator, np.concatenate([a, b], axis=-1), max_power)))

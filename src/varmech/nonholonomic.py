@@ -263,35 +263,18 @@ def dla_simulate(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
     return points, numkit.pair_series(energies or {}, points), lams
 
 
-@dataclass(frozen=True)
-class MidpointEnergy:
-    """An energy density E(q, v) discretized at segment midpoints with
-    divided-difference velocities: a function of a consecutive pair."""
-
-    func: Callable
-    h: float
-
-    def __call__(self, q0, q1):
-        q0 = np.asarray(q0, dtype=float)
-        q1 = np.asarray(q1, dtype=float)
-        return float(self.func(0.5 * (q0 + q1), (q1 - q0) / self.h))
-
-    def series(self, points):
-        """The energy on each consecutive pair of rows of ``points``.
-
-        Midpoints and velocities are formed for all pairs at once with
-        the IEEE operations of ``__call__``, and the density is called
-        on each row, so every value equals the per-pair one bit for bit.
-        """
-        points = np.asarray(points, dtype=float)
-        mids = 0.5 * (points[:-1] + points[1:])
-        vels = (points[1:] - points[:-1]) / self.h
-        func = self.func
-        return np.fromiter((float(func(q, v)) for q, v in zip(mids, vels)),
-                           dtype=float, count=len(mids))
-
-
-def midpoint_energy(func: Callable, h: float) -> MidpointEnergy:
+def midpoint_energy(func: Callable, h: float) -> Callable:
     """Discretize an energy density E(q, v) at segment midpoints with
-    divided-difference velocities."""
-    return MidpointEnergy(func, h)
+    divided-difference velocities: a function of a consecutive pair.
+
+    It carries ``func``'s complex-safe mark, so a density that computes
+    over leading axes gets a whole block of pairs from ``pair_series``
+    in one call.
+    """
+
+    def energy(q0, q1):
+        q0 = np.asarray(q0)
+        q1 = np.asarray(q1)
+        return func(0.5 * (q0 + q1), (q1 - q0) / h)
+
+    return numkit.complex_safe(energy, func)

@@ -20,13 +20,16 @@ are fixed here once:
   directions of all points of a stack (S, n) in one call.  Outside the
   kernel it decides one thing: whether ``pointwise``, through which
   every callable meets a stack, hands the stack over in one call or
-  calls the callable on each point in order.  The one exception is a
-  derivative along directions at a stack of points, which hands all its
-  stencil points to the callable in one call (ihc takes the time
-  derivative of a Jacobian so).  The catalogue's fiber maps and
-  recurrences carry the mark, as do extended-disk's ``d12`` and
-  implicit-exp's force law, ``c`` and momentum, and so do the
-  embeddings, slot maps and two-form fields built from marked parts;
+  calls the callable on each point in order.  That holds for the
+  sampled checks and for the pair observables along a run alike
+  (``pair_series``: energy monitors, orbit trace powers).  The one
+  exception is a derivative along directions at a stack of points,
+  which hands all its stencil points to the callable in one call (ihc
+  takes the time derivative of a Jacobian so).  The catalogue's fiber
+  maps, recurrences and energy monitors carry the mark, as do
+  extended-disk's and harmonic-exact's ``d12`` and implicit-exp's
+  force law, ``c`` and momentum, and so do the embeddings, slot maps
+  and two-form fields built from marked parts;
 * every linear system goes through one path, ``lu_solve``: LAPACK's
   partial-pivot LU plus a row-scaled conditioning test, so a singular or
   near-singular Jacobian surfaces as SingularJacobian instead of NaNs or
@@ -84,7 +87,7 @@ PIVOT_FLOOR = 1e-14
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 EPS = float(np.finfo(float).eps)
-# Most pairs pair_series hands to an energy monitor's ``series`` at once,
+# Most pairs pair_series hands to a marked pair observable at once,
 # which bounds the temporaries of a long run.
 PAIR_CHUNK = 1024
 
@@ -541,24 +544,25 @@ def pair_series(funcs, points):
     ``funcs``.  A scalar function gives a 1-D array, one returning a
     vector of length k an (len(points) - 1, k) array.
 
-    A function with a ``series`` method (such as the wrapper of
-    ``nonholonomic.midpoint_energy``) gets the points in blocks of at
-    most PAIR_CHUNK + 1 rows and returns the values on their
-    consecutive pairs, which must equal its per-pair values; any other
-    function is called once per pair.
+    Each function meets blocks of at most PAIR_CHUNK + 1 rows through
+    ``pointwise``, as the stacks of their first and second members: a
+    function marked by ``complex_safe`` gets each block in one call,
+    any other is called once per pair, in order.  Every block must give
+    one value of one shape per pair (DomainError otherwise).
     """
     count = max(len(points) - 1, 0)
     out = {}
     for name, fn in funcs.items():
-        series = getattr(fn, "series", None)
-        if series is None:
-            out[name] = np.array([fn(a, b) for a, b in zip(points[:-1], points[1:])],
-                                 dtype=float)
-            continue
-        values = np.empty(count)
+        blocks = []
         for start in range(0, count, PAIR_CHUNK):
-            values[start:start + PAIR_CHUNK] = series(points[start:start + PAIR_CHUNK + 1])
-        out[name] = values
+            block = points[start:start + PAIR_CHUNK + 1]
+            value = np.asarray(pointwise(fn, (block[:-1], block[1:])), dtype=float)
+            if value.shape[:1] != (len(block) - 1,) or (
+                    blocks and value.shape[1:] != blocks[0].shape[1:]):
+                raise DomainError(f"pair observable {name!r} returned shape "
+                                  f"{value.shape} for {len(block) - 1} pairs")
+            blocks.append(value)
+        out[name] = np.concatenate(blocks) if blocks else np.empty(0)
     return out
 
 

@@ -86,9 +86,13 @@ class ImplicitSOdE:
         return numkit.pointwise(self.phi, (q0, q1, q2), (self.dim,), "phi")
 
     def C(self, q0, q1, q2):
-        """Jacobian of phi in the q2 slot, shape (n, n)."""
+        """Jacobian of phi in the q2 slot, shape (n, n): the analytic
+        ``c`` when given, one matrix per triple of the leading axes,
+        checked for shape by ``numkit.pointwise``; else order-2
+        differences at one triple."""
         if self.c is not None:
-            return np.asarray(self.c(q0, q1, q2), dtype=float)
+            return np.asarray(numkit.pointwise(self.c, (q0, q1, q2), (self.dim, self.dim),
+                                               "c"), dtype=float)
         return numkit.fd_jacobian(lambda q: self(q0, q1, q), q2)
 
     def is_regular(self, q0, q1, q2):
@@ -133,8 +137,7 @@ def tangent_basis(eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
                             eq.phi),
         np.concatenate([q0, q1, q2], axis=-1))
     slots = jac[..., :2 * n]
-    cmat = (jac[..., 2 * n:] if eq.c is None
-            else np.asarray(numkit.pointwise(eq.c, (q0, q1, q2)), dtype=float))
+    cmat = jac[..., 2 * n:] if eq.c is None else eq.C(q0, q1, q2)
     corr0 = numkit.lu_solve(cmat, slots[..., :n])
     corr1 = numkit.lu_solve(cmat, slots[..., n:])
     a = np.zeros(q0.shape[:-1] + (n, 3 * n))

@@ -24,13 +24,16 @@ can be exercised against hand-checkable numbers:
 
 Builders take keyword parameters (step size and system constants) and
 return small bundles of callables; ``make_system`` looks entries up by
-name for the command line.  Every fiber map and recurrence here is
-marked by ``numkit.complex_safe``, and so are extended-disk's ``d12``
-and implicit-exp's force law, ``c`` and momentum, so the checks
-differentiate them by the complex step; like every marked callable
-they index coordinates with ``[..., k]`` and so also take points
-stacked on leading axes.  The ``d12`` of the other Lagrangians stays
-unmarked: del_step's Newton calls it once per iteration at one point.
+name for the command line.  Every fiber map, recurrence and energy
+monitor here is marked by ``numkit.complex_safe``, and so are
+extended-disk's and harmonic-exact's ``d12`` and implicit-exp's force
+law, ``c`` and momentum, so the checks differentiate them by the
+complex step and ``numkit.pair_series`` hands the monitors a block of
+pairs at a time; like every marked callable they index coordinates
+with ``[..., k]`` and so also take points stacked on leading axes.
+They write squares as products, which round alike on a block and on
+one pair.  The ``d12`` of the other Lagrangians stays unmarked:
+del_step's Newton calls it once per iteration at one point.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ def free_particle(h: float = 0.1, dim: int = 2) -> VariationalSystem:
         recurrence=ExplicitSOdE(dim=dim, gamma=complex_safe(lambda q0, q1: 2 * q1 - q0)),
         fiber=FiberMap(dim=dim, func=complex_safe(lambda q0, q1: (q1 - q0) / h)),
         initial=(np.zeros(dim), h * velocity),
-        energies={"kinetic": lambda q0, q1: float((q1 - q0) @ (q1 - q0)) / (2 * h * h)},
+        energies={"kinetic": complex_safe(
+            lambda q0, q1: np.square(q1 - q0).sum(axis=-1) / (2 * h * h))},
     )
 
 
@@ -135,7 +139,8 @@ def exact_oscillator(h: float = 0.1) -> VariationalSystem:
         value=lambda q0, q1: float(c * (q0[0] ** 2 + q1[0] ** 2) - 2 * q0[0] * q1[0]) / (2 * s),
         d1=lambda q0, q1: (c * q0 - q1) / s,
         d2=lambda q0, q1: (c * q1 - q0) / s,
-        d12=lambda q0, q1: np.array([[-1.0 / s]]),
+        # constant; 0 * (q0 + q1) gives it the points' dtype and leading axes
+        d12=complex_safe(lambda q0, q1: (0.0 * (q0 + q1) - 1.0 / s)[..., None]),
     )
 
     # quartic alternate: same recurrence, cubic momentum
@@ -153,13 +158,14 @@ def exact_oscillator(h: float = 0.1) -> VariationalSystem:
         value=alt_value,
         d1=lambda q0, q1: 4 * a4 * q0 ** 3 - b4 * (q1 ** 3 + 3 * q0 ** 2 * q1) + 2 * c4 * q0 * q1 ** 2,
         d2=lambda q0, q1: 4 * a4 * q1 ** 3 - b4 * (3 * q0 * q1 ** 2 + q0 ** 3) + 2 * c4 * q0 ** 2 * q1,
-        d12=lambda q0, q1: np.array(
-            [[-3 * b4 * (q0[0] ** 2 + q1[0] ** 2) + 4 * c4 * q0[0] * q1[0]]]),
+        d12=complex_safe(lambda q0, q1: (
+            -3 * b4 * (q0 * q0 + q1 * q1) + 4 * c4 * q0 * q1)[..., None]),
     )
 
+    @complex_safe
     def invariant(q0, q1):
-        x0, x1 = float(np.atleast_1d(q0)[0]), float(np.atleast_1d(q1)[0])
-        return x1 ** 2 - 2 * c * x0 * x1 + x0 ** 2
+        x0, x1 = q0[..., 0], q1[..., 0]
+        return x1 * x1 - 2 * c * x0 * x1 + x0 * x0
 
     return VariationalSystem(
         name="harmonic-exact",
@@ -167,7 +173,8 @@ def exact_oscillator(h: float = 0.1) -> VariationalSystem:
         recurrence=ExplicitSOdE(dim=1, gamma=complex_safe(lambda q0, q1: 2 * c * q1 - q0)),
         fiber=FiberMap(dim=1, func=complex_safe(lambda q0, q1: (q1 - c * q0) / s)),
         initial=(np.array([1.0]), np.array([c])),
-        energies={"oscillation": lambda q0, q1: invariant(q0, q1) / (2 * s * s)},
+        energies={"oscillation": complex_safe(
+            lambda q0, q1: invariant(q0, q1) / (2 * s * s), invariant)},
         alternate_lagrangian=alt,
         invariant=invariant,
     )
@@ -312,18 +319,26 @@ def rolling_disk(h: float = 0.05) -> RollingDisk:
         name="rolling-disk",
     )
 
+    def parts(q, v):
+        """The squared rates and the rolling term, over leading axes."""
+        sq = v * v
+        roll = v[..., 0] * (np.cos(q[..., 1]) * v[..., 2] + np.sin(q[..., 1]) * v[..., 3])
+        return sq[..., 0], sq[..., 1], sq[..., 2], sq[..., 3], roll
+
+    @complex_safe
     def k1(q, v):
-        return (0.5 * (v[0] ** 2 + v[1] ** 2 - v[2] ** 2 - v[3] ** 2)
-                + v[0] * (np.cos(q[1]) * v[2] + np.sin(q[1]) * v[3]))
+        s0, s1, s2, s3, roll = parts(q, v)
+        return 0.5 * (s0 + s1 - s2 - s3) + roll
 
+    @complex_safe
     def k2(q, v):
-        return (0.5 * (-v[0] ** 2 + v[1] ** 2 - v[2] ** 2 - v[3] ** 2)
-                + v[0] * (np.cos(q[1]) * v[2] + np.sin(q[1]) * v[3]))
+        s0, s1, s2, s3, roll = parts(q, v)
+        return 0.5 * (-s0 + s1 - s2 - s3) + roll
 
+    @complex_safe
     def k3(q, v):
-        return h * h * (-0.5 * (v[2] ** 2 + v[3] ** 2)
-                        + (1.0 / h - 0.5) * v[0] ** 2 + v[1] ** 2 / (2 * h)
-                        + v[0] * (np.cos(q[1]) * v[2] + np.sin(q[1]) * v[3]))
+        s0, s1, s2, s3, roll = parts(q, v)
+        return h * h * (-0.5 * (s2 + s3) + (1.0 / h - 0.5) * s0 + s1 / (2 * h) + roll)
 
     def turn_ratio(q0, q1):
         dth = q1[..., 0] - q0[..., 0]
@@ -452,9 +467,10 @@ def backward_error(h: float = 0.1, gauge: float = 0.0) -> VariationalSystem:
     fiber = FiberMap(dim=1, func=complex_safe(
         lambda q0, q1: (q1 - q0) / h + h * q0 + gauge * h))
 
+    @complex_safe
     def shadow_energy(q0, q1):
-        x = float(np.atleast_1d(q0)[0])
-        p = float(fiber(np.atleast_1d(q0), np.atleast_1d(q1))[0])
+        x = q0[..., 0]
+        p = fiber(q0, q1)[..., 0]
         return (0.5 * (x * x + p * p) - h * (gauge * p + 0.5 * x * p)
                 + 0.5 * gauge * h * h * x)
 
@@ -573,7 +589,8 @@ def exp_recurrence(h: float = 0.1) -> ImplicitRecurrenceSystem:
         fiber=FiberMap(dim=1, func=complex_safe(lambda q0, q1: (q1 - q0) / h)),
         initial=(np.array([0.0]), np.array([h])),
         h=h,
-        energies={"kinetic": lambda q0, q1: float((q1[0] - q0[0]) ** 2) / (2 * h * h)},
+        energies={"kinetic": complex_safe(
+            lambda q0, q1: np.square(q1[..., 0] - q0[..., 0]) / (2 * h * h))},
     )
 
 

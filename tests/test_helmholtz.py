@@ -244,6 +244,20 @@ def test_implicit_ode_solves_acceleration():
     assert_allclose(acc, q, atol=1e-10)
 
 
+def test_implicit_ode_analytic_c_goes_through_pointwise():
+    q, qd, qdd = np.random.default_rng(4).uniform(-1, 1, size=(3, 5, 2))
+    cm = np.array([[1.0, 0.25], [0.0, 3.0]])
+    ode = hz.ImplicitODE(dim=2, phi=lambda q, qd, qdd: cm @ qdd - q,
+                         c=lambda q, qd, qdd: cm)
+    assert np.array_equal(ode.C(q, qd, qdd), np.broadcast_to(cm, (5, 2, 2)))
+    assert np.array_equal(ode.C(q[0], qd[0], qdd[0]), cm)
+    wrong = hz.ImplicitODE(dim=2, phi=ode.phi, c=lambda q, qd, qdd: np.eye(3))
+    with pytest.raises(DomainError, match=r"c returned shape \(3, 3\), expected \(2, 2\)"):
+        wrong.C(q[0], qd[0], qdd[0])
+    with pytest.raises(DomainError, match=r"c returned shape \(5, 3, 3\)"):
+        wrong.C(q, qd, qdd)
+
+
 def test_implicit_ode_takes_stacked_points():
     ode = systems.make_system("implicit-exp").ode
     q, qd, qdd = np.random.default_rng(3).uniform(-1, 1, size=(3, 5, 2))
@@ -1027,7 +1041,8 @@ def _block_run(which, count):
         return lambda: hz.check_two_form(omega, hz.sample_box(8, count, seed=5))
     # unmarked field and flow: evaluated point by point inside each block
     osc = systems.make_system("harmonic-exact")
-    omega, flow = osc.two_form(), osc.recurrence.flow_map
+    omega = hz.TwoFormField(dim=2, coeff=_plain(osc.two_form().coeff))
+    flow = osc.recurrence.flow_map
     assert not numkit.is_complex_safe(omega.coeff) and not numkit.is_complex_safe(flow)
     return lambda: hz.check_two_form(omega, hz.sample_box(2, count, seed=5), flow=flow)
 

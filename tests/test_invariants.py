@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from varmech import numkit
 from varmech.errors import DomainError, NoConvergence, SingularJacobian, StepFailure
 from varmech.helmholtz import TwoFormField
 from varmech.invariants import (pair_operator_on_orbit, recursion_operator,
@@ -51,6 +52,32 @@ def test_trace_powers_drift_along_orbit():
     assert np.ptp(rows[:, 1]) < 1e-10
 
 
+def test_operator_on_a_stack_matches_each_point_alone():
+    ho, op = oscillator_operator(0.1)
+    z = np.random.default_rng(1).uniform(-1, 1, (7, 2))
+    stacked = op(z)
+    assert stacked.shape == (7, 2, 2)
+    for zi, a in zip(z, stacked):
+        assert a.tobytes() == op(zi).tobytes()
+    assert trace_powers(op, z, max_power=3).shape == (7, 3)
+
+
+def test_orbit_rows_match_single_pair_trace_powers_and_the_closed_form():
+    # 3000 steps cross PAIR_CHUNK boundaries: the rows come a block at a time
+    h = 0.1
+    ho, op = oscillator_operator(h)
+    q0, q1 = np.array([0.7]), np.array([-0.4])
+    rows = pair_operator_on_orbit(op, ho.recurrence, q0, q1, 3000, max_power=3)
+    points = numkit.march(ho.recurrence, q0, q1, 3000)
+    assert rows.shape == (3001, 3)
+    assert len(rows) > 2 * numkit.PAIR_CHUNK
+    for row, a, b in zip(rows, points[:-1], points[1:]):
+        assert row.tobytes() == trace_powers(op, np.concatenate([a, b]), 3).tobytes()
+    # A = lam I with lam = 4 I(q0, q1) / sin^2 h, so tr A^k = 2 lam^k
+    lam = 4.0 * ho.invariant(points[:-1], points[1:]) / math.sin(h) ** 2
+    assert_allclose(rows, 2.0 * lam[:, None] ** np.arange(1, 4), rtol=1e-12)
+
+
 def test_spectrum_is_conjugation_invariant():
     ho, op = oscillator_operator(0.1)
     q0, q1 = ho.initial
@@ -66,6 +93,11 @@ def test_degenerate_primary_form_raises():
                             TwoFormField.from_lagrangian(ho.lagrangian))
     with pytest.raises(SingularJacobian):
         op(np.array([0.1, 0.2]))
+    # and on the stacked path of a block of orbit pairs
+    with pytest.raises(SingularJacobian):
+        op(np.array([[0.1, 0.2], [0.3, 0.4]]))
+    with pytest.raises(SingularJacobian):
+        pair_operator_on_orbit(op, ho.recurrence, *ho.initial, 5)
 
 
 def test_dimension_mismatch_rejected():

@@ -12,7 +12,7 @@ from varmech.nonholonomic import (DiscretizationRule, NonholonomicSystem,
                                   euler_a_rule, euler_b_rule, midpoint_energy,
                                   midpoint_rule, rule_from_spec,
                                   trapezoidal_rule)
-from varmech.numkit import PAIR_CHUNK, pair_series
+from varmech.numkit import PAIR_CHUNK, complex_safe, is_complex_safe, pair_series
 from varmech.systems import rolling_disk
 
 H = 0.05
@@ -279,20 +279,27 @@ def test_steps_without_analytic_derivatives_follow_the_analytic_run():
         assert_allclose(_run(system, rule, q0, q1, 100), reference, rtol=0, atol=1e-7)
 
 
-def test_midpoint_energy_series_matches_per_pair_bit_for_bit():
-    # 3000 steps give 3001 pairs: pair_series hands them over in blocks
-    # that cross PAIR_CHUNK boundaries
+def test_marked_energy_blocks_match_per_pair_calls_bit_for_bit():
+    # 3000 steps give 3001 pairs: pair_series hands each marked monitor
+    # blocks that cross PAIR_CHUNK boundaries
     disk = rolling_disk(H)
     rule = alpha_rule(0.25)
     points, series, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 3000,
                                      energies=disk.energies)
     assert len(points) - 1 > 2 * PAIR_CHUNK
     for name, energy in disk.energies.items():
+        assert is_complex_safe(energy), name
         per_pair = np.array([energy(a, b) for a, b in zip(points[:-1], points[1:])])
-        assert np.array_equal(energy.series(points), per_pair), name
         assert np.array_equal(series[name], per_pair), name
-        assert np.array_equal(pair_series({name: energy}, points)[name], per_pair), name
 
+
+def test_midpoint_energy_inherits_the_mark_of_its_density():
+    marked = midpoint_energy(complex_safe(lambda q, v: q[..., 0] * v[..., 1]), 0.5)
+    plain = midpoint_energy(lambda q, v: q[0] * v[1], 0.5)
+    assert is_complex_safe(marked) and not is_complex_safe(plain)
+    points = np.random.default_rng(0).standard_normal((PAIR_CHUNK + 9, 2))
+    out = pair_series({"marked": marked, "plain": plain}, points)
+    assert np.array_equal(out["marked"], out["plain"])
 
 def test_simulate_accepts_plain_pair_energies():
     disk = rolling_disk(H)

@@ -379,24 +379,58 @@ def test_march_checks_seed_dim_when_given():
     assert_allclose(points[-1], [0.4, 0.8])
 
 
-def test_pair_series_uses_series_method_in_chunks():
-    calls = []
+def test_pair_series_hands_a_marked_observable_blocks():
+    rows = []
 
-    class Summed:
-        def __call__(self, a, b):
-            raise AssertionError("the per-pair path must not run")
+    @numkit.complex_safe
+    def summed(a, b):
+        rows.append(len(a) + 1)  # the block of points its pairs come from
+        return a[..., 0] + b[..., 0]
 
-        def series(self, block):
-            calls.append(len(block))
-            return block[:-1, 0] + block[1:, 0]
-
-    points = np.arange(2 * (numkit.PAIR_CHUNK + 7), dtype=float).reshape(-1, 2)
-    out = numkit.pair_series({"sum": Summed(), "plain": lambda a, b: b[1] - a[0]}, points)
-    assert calls == [numkit.PAIR_CHUNK + 1, 7]
-    assert_allclose(out["sum"], points[:-1, 0] + points[1:, 0])
-    assert_allclose(out["plain"], np.full(len(points) - 1, 3.0))
+    points = np.arange(2 * (2 * numkit.PAIR_CHUNK + 8), dtype=float).reshape(-1, 2)
+    out = numkit.pair_series({"sum": summed, "plain": lambda a, b: b[1] - a[0]}, points)
+    assert rows == [numkit.PAIR_CHUNK + 1, numkit.PAIR_CHUNK + 1, 8]
+    assert np.array_equal(out["sum"], points[:-1, 0] + points[1:, 0])
+    assert np.array_equal(out["plain"], np.full(len(points) - 1, 3.0))
     assert list(out) == ["sum", "plain"]
 
+
+def test_pair_series_calls_an_unmarked_observable_per_pair_in_order():
+    seen = []
+
+    def plain(a, b):
+        assert a.shape == b.shape == (2,)
+        seen.append((a.tolist(), b.tolist()))
+        return float(b[0] - a[1])
+
+    points = np.random.default_rng(1).standard_normal((numkit.PAIR_CHUNK + 5, 2))
+    out = numkit.pair_series({"p": plain}, points)
+    pairs = list(zip(points[:-1].tolist(), points[1:].tolist()))
+    assert seen == pairs
+    assert np.array_equal(out["p"], [b[0] - a[1] for a, b in pairs])
+
+
+@pytest.mark.parametrize("rows, pairs", [(0, 0), (1, 0), (2, 1), (3, 2)])
+def test_pair_series_short_runs(rows, pairs):
+    # runs of 0 and 1 steps have 2 and 3 points
+    points = np.arange(2.0 * rows).reshape(rows, 2)
+    marked = numkit.complex_safe(lambda a, b: b[..., 1] - a[..., 0])
+    out = numkit.pair_series({"m": marked, "p": lambda a, b: b[1] - a[0]}, points)
+    assert out["m"].shape == out["p"].shape == (pairs,)
+    assert np.array_equal(out["m"], out["p"])
+
+
+def test_pair_series_rejects_wrongly_shaped_values():
+    points = np.arange(2.0 * (numkit.PAIR_CHUNK + 5)).reshape(-1, 2)
+    # written for one pair: it ignores the leading axis of a block
+    one_pair = numkit.complex_safe(lambda a, b: float(b[0, 0] - a[0, 0]))
+    with pytest.raises(DomainError,
+                       match=rf"'e' returned shape \(\) for {numkit.PAIR_CHUNK} pairs"):
+        numkit.pair_series({"e": one_pair}, points)
+    # a later block changes the shape of its values
+    changing = numkit.complex_safe(lambda a, b: np.zeros((len(a), 2 if len(a) > 9 else 3)))
+    with pytest.raises(DomainError, match=r"returned shape \(4, 3\) for 4 pairs"):
+        numkit.pair_series({"e": changing}, points)
 
 def test_newton_sqrt2():
     root = numkit.newton_solve(lambda x: np.array([x[0] ** 2 - 2.0]), np.array([1.0]))
@@ -479,6 +513,12 @@ def test_pair_series_vector_function_gives_columns():
     assert np.array_equal(out["v"], np.stack([fn(a, b) for a, b in zip(points[:-1], points[1:])]))
     assert out["s"].shape == (5,)
     assert np.array_equal(out["s"], points[:-1, 0] + points[1:, 0])
+    # a marked one gives its columns a block at a time, across blocks
+    points = np.random.default_rng(2).standard_normal((numkit.PAIR_CHUNK + 9, 2))
+    fn = lambda a, b: np.stack([a[..., 0] * b[..., 1], b[..., 0] - a[..., 1]], axis=-1)
+    out = numkit.pair_series({"m": numkit.complex_safe(fn), "p": fn}, points)
+    assert out["m"].shape == (len(points) - 1, 2)
+    assert np.array_equal(out["m"], out["p"])
 
 
 def test_fit_order_cubic_signal():

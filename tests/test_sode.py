@@ -169,6 +169,22 @@ def test_implicit_equation_takes_stacked_points():
             z[:, :1], z[:, 1:2], z[:, 2:])
 
 
+def test_analytic_c_goes_through_pointwise():
+    z = np.random.default_rng(2).uniform(-1, 1, size=(3, 5, 2))
+    cm = np.array([[2.0, 0.5], [0.0, 1.0]])
+    # an unmarked c is called per triple, so stacked triples give a stack
+    eq = sode.ImplicitSOdE(dim=2, phi=lambda a, b, c: cm @ c - b, c=lambda a, b, c: cm)
+    stacked = eq.C(*z)
+    assert stacked.shape == (5, 2, 2)
+    assert np.array_equal(stacked, np.broadcast_to(cm, (5, 2, 2)))
+    assert np.array_equal(eq.C(*z[:, 0]), cm)
+    wrong = sode.ImplicitSOdE(dim=2, phi=eq.phi, c=lambda a, b, c: np.eye(3))
+    with pytest.raises(DomainError, match=r"c returned shape \(3, 3\), expected \(2, 2\)"):
+        wrong.C(*z[:, 0])
+    with pytest.raises(DomainError, match=r"c returned shape \(5, 3, 3\)"):
+        wrong.C(*z)
+
+
 def _marked_planar_equation():
     """phi(q0, q1, q2) = (exp(x2 - x1) - 1 - y0 y1, y2 + sin(x1) x2 - x0), marked."""
     def phi(q0, q1, q2):

@@ -265,8 +265,16 @@ def _marked_catalogue_callables():
         box = sample_box(2 * bundle.dim, 32, seed=3)
         cases += [(f"{name} fiber", bundle.fiber.func, box),
                   (f"{name} recurrence", bundle.recurrence.gamma, box)]
+        cases += [(f"{name} {energy}", func, box)
+                  for energy, func in bundle.energies.items()]
     er = systems.make_system("exp-recurrence")
-    cases.append(("exp-recurrence fiber", er.fiber.func, sample_box(2, 32, seed=3)))
+    cases += [("exp-recurrence fiber", er.fiber.func, sample_box(2, 32, seed=3)),
+              ("exp-recurrence kinetic", er.energies["kinetic"], sample_box(2, 32, seed=3))]
+    ho = systems.make_system("harmonic-exact")
+    for label, lag in (("d12", ho.lagrangian), ("alternate d12", ho.alternate_lagrangian)):
+        cases.append((f"harmonic-exact {label}", numkit.complex_safe(
+            lambda q0, q1, d12=lag.d12: d12(q0, q1).reshape(q0.shape[:-1] + (1,)), lag.d12),
+            sample_box(2, 32, seed=3)))
     # extended-disk's d12 and implicit-exp's phi, c and momentum, as pair
     # maps of flat values: the matrices flattened, phi's three slots
     # split off the pair (q, qd | qdd) and its second half
@@ -292,6 +300,8 @@ def _marked_catalogue_callables():
         if spec == "midpoint":
             cases += [(f"rolling-disk fiber {fiber}", disk.fibers[fiber].func, pairs)
                       for fiber in sorted(disk.fibers)]
+            cases += [(f"rolling-disk {energy}", func, pairs)
+                      for energy, func in disk.energies.items()]
         cases.append((f"rolling-disk reduced recurrence {spec}",
                       disk.reduced_recurrence(rule).gamma, pairs))
     return [pytest.param(*case, id=case[0]) for case in cases]
@@ -313,3 +323,31 @@ def test_marked_catalogue_callables_are_analytic(label, func, points):
         step = numkit.fd_jacobian4(pair, z)
         bound = 1e-8 * max(1.0, float(np.max(np.abs(order4))))
         assert np.max(np.abs(step - order4)) <= bound, (label, z)
+
+
+def _catalogue_monitors():
+    """(label, pair observable, dim) for every energy monitor of the
+    catalogue and harmonic-exact's invariant."""
+    cases = []
+    for name, params in (("toy-free-particle", {}), ("harmonic-exact", {}),
+                         ("backward-error", {"gauge": 1.0}), ("exp-recurrence", {}),
+                         ("rolling-disk", {})):
+        bundle = systems.make_system(name, **params)
+        cases += [(f"{name} {energy}", func, bundle.dim)
+                  for energy, func in bundle.energies.items()]
+    ho = systems.make_system("harmonic-exact")
+    cases.append(("harmonic-exact invariant", ho.invariant, 1))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("label, monitor, dim", _catalogue_monitors())
+def test_catalogue_monitor_blocks_match_per_pair_calls_bit_for_bit(label, monitor, dim):
+    # marked, so pair_series hands each monitor blocks of PAIR_CHUNK
+    # pairs; squares are products, which round alike on a block and on
+    # one pair
+    assert numkit.is_complex_safe(monitor), label
+    points = np.random.default_rng(5).uniform(-2.0, 2.0, (3002, dim))
+    block = numkit.pair_series({label: monitor}, points)[label]
+    per_pair = np.array([monitor(a, b) for a, b in zip(points[:-1], points[1:])])
+    assert block.shape == (3001,)
+    assert block.tobytes() == per_pair.tobytes(), label
