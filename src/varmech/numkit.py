@@ -9,24 +9,26 @@ are fixed here once:
   FD4_STEP_SCALE);
 * the central differences (``fd_jacobian``, ``fd_gradient``,
   ``fd_jacobian4``, ``fd_directional4``) run in one kernel over a
-  stencil table, which rejects a non-finite difference, so a NaN at any
-  stencil point raises EvaluationError;
+  stencil table of order-2, order-4 and complex-step rows.  It builds
+  all stencil points of a stack in one array, sums each row's terms
+  left to right and divides once, and it rejects a non-finite
+  derivative, so a NaN at any stencil point raises EvaluationError;
 * a callable marked by ``complex_safe`` computes with complex points as
   it does with real ones, so its values are analytic in them, and over
   leading axes of stacked points.  In the difference kernel the mark
   selects the complex-step row: one evaluation per direction at a step
   of COMPLEX_STEP_SCALE, the derivative ``Im f(x + i t e_k) / t``,
   which takes no difference and is exact to rounding, with all
-  directions of all points of a stack (S, n) in one call.  Outside the
+  directions of all points of a stack in one call.  Outside the
   kernel it decides one thing: whether ``pointwise``, through which
   every callable meets a stack, hands the stack over in one call or
   calls the callable on each point in order.  That holds for the
   sampled checks and for the pair observables along a run alike
   (``pair_series``: energy monitors, orbit trace powers).  The one
-  exception is a derivative along directions at a stack of points,
-  which hands all its stencil points to the callable in one call (ihc
-  takes the time derivative of a Jacobian so).  The catalogue's fiber
-  maps, recurrences and energy monitors carry the mark, as do
+  exception is a derivative along directions at a stack of points:
+  the kernel hands all its stencil points to any callable in one call
+  (ihc takes the time derivative of a Jacobian so).  The catalogue's
+  fiber maps, recurrences and energy monitors carry the mark, as do
   extended-disk's and harmonic-exact's ``d12`` and implicit-exp's
   force law, ``c`` and momentum, and so do the embeddings, slot maps
   and two-form fields built from marked parts;
@@ -70,13 +72,17 @@ FD4_STEP_SCALE = 1e-3
 # x, which the row can afford because it subtracts nothing, and far
 # above underflow.
 COMPLEX_STEP_SCALE = 1e-30
-# Stencils for _central: (relative step, offsets, weights, denominator).
-# The terms are summed left to right, hi - lo and -f1 + 8 f2 - 8 f3 + f4,
-# which fixes the rounding of every difference.  The complex-step row
-# (_complex_step) has one imaginary offset and takes the imaginary part
-# of its value.
-_CENTRAL2 = (FD_STEP_SCALE, (1.0, -1.0), (1.0, -1.0), 2.0)
-_CENTRAL4 = (FD4_STEP_SCALE, (2.0, 1.0, -1.0, -2.0), (-1.0, 8.0, -8.0, 1.0), 12.0)
+# The stencil table of _central: (relative step, offsets, weights,
+# denominator), offsets and weights as arrays that broadcast over the
+# stencil points of a stack.  The terms are summed left to right,
+# hi - lo and -f1 + 8 f2 - 8 f3 + f4, which fixes the rounding of
+# every difference.
+# The complex-step row, which the complex-safe mark selects, has one
+# imaginary offset, and the kernel sums the imaginary part of its value.
+_CENTRAL2 = (FD_STEP_SCALE, np.array([1.0, -1.0]), np.array([1.0, -1.0]), 2.0)
+_CENTRAL4 = (FD4_STEP_SCALE, np.array([2.0, 1.0, -1.0, -2.0]),
+             np.array([-1.0, 8.0, -8.0, 1.0]), 12.0)
+_COMPLEX = (COMPLEX_STEP_SCALE, np.array([1j]), np.array([1.0]), 1.0)
 # The attribute of the complex-safe mark.
 _MARK = "complex_safe"
 # Singularity threshold of lu_solve: a row-scaled condition number above
@@ -94,6 +100,7 @@ PAIR_CHUNK = 1024
 
 _FLOAT = np.dtype(float)
 _maxreduce = np.maximum.reduce
+_all = np.logical_and.reduce
 
 
 def _asvec(x):
@@ -172,156 +179,104 @@ def pointwise(f, points, tail=None, what="callable"):
 def _central(f, x, stencil, name, direction=None):
     """The one difference kernel behind the fd_* wrappers.
 
-    ``stencil`` is (relative step, offsets, weights, denominator); a
-    derivative along d at step t is sum_k w_k f(x + (o_k t) d) /
-    (denominator t), summed left to right.  Without ``direction`` the
-    result is the Jacobian, one column per coordinate i along e_i at
-    step ``scale * max(1, |x_i|)``; with it, the derivative along
-    ``direction`` at step ``scale * max(1, ||x||_inf) / ||direction||_inf``,
-    shaped like f's values.  ``x`` may be a stack of points (S, n),
-    which gives a stack of Jacobians (S, m, n); an unmarked ``f`` is
-    differentiated one point at a time, except along ``direction``
-    (one per point, or one for all): then one call of ``f`` covers all
-    stencil points of the stack (``_directional_stack``).  An ``f``
-    marked by ``complex_safe`` gets the complex-step row instead
-    (``_complex_step``).
-    Each finished derivative must be finite, so a non-finite value at
-    any stencil point raises EvaluationError.
+    ``stencil`` is a row of the stencil table, (relative step, offsets,
+    weights, denominator); an ``f`` marked by ``complex_safe`` gets the
+    complex-step row instead.  The derivative along d at step t is
+    sum_j w_j f(x + (o_j t) d) / (denominator t), summed left to right,
+    of the imaginary part of f in the complex-step row.  Without
+    ``direction`` the result is the Jacobian (m, n), m the size of f's
+    value, one column per coordinate i along e_i at step
+    ``scale * max(1, |x_i|)``; with it, the derivative along
+    ``direction`` at step ``scale * max(1, ||x||_inf) /
+    ||direction||_inf``, shaped like f's value, and zero along a zero
+    direction.  ``x`` may be points stacked on leading axes (..., n),
+    with ``direction`` one per point or one for all: each point keeps
+    its own steps, so its derivative has the bits of the same
+    derivative at that point alone, and the result is stacked on the
+    same leading axes.
+
+    The stencil points of all points, directions and offsets are built
+    in one array.  A marked ``f``, and any ``f`` along a direction at a
+    stack, gets them in one call, stacked on one leading axis, and must
+    return its values stacked so (DomainError otherwise), complex in the
+    complex-step row (EvaluationError otherwise); any other ``f`` is
+    called on each 1-D stencil point in order of point, direction and
+    offset.  Each derivative must be finite, and so must f(x), the real
+    part of the complex-step value along the first direction: the
+    first point that fails, in order, raises EvaluationError.
     """
-    if getattr(f, _MARK, False):
-        return _complex_step(f, x, name, direction)
+    marked = getattr(f, _MARK, False)
+    scale, offsets, weights, denom = _COMPLEX if marked else stencil
     x = _asvec(x)
-    if x.ndim > 1:
-        if direction is not None:
-            return _directional_stack(f, x, stencil, name, direction)
-        return np.stack([_central(f, p, stencil, name) for p in x])
-    scale, offsets, weights, denom = stencil
+    lead, n = x.shape[:-1], x.shape[-1]
+    xs = x.reshape(-1, n)
     if direction is None:
-        directions = np.eye(x.size)
-        steps = scale * np.maximum(1.0, np.abs(x))
+        dirs = np.eye(n)
+        steps = scale * np.maximum(1.0, np.absolute(xs))
+        still = None
     else:
-        directions = (_asvec(direction),)
-        nd = float(np.max(np.abs(directions[0])))
-        if nd == 0.0:
-            return np.zeros_like(np.asarray(f(x), dtype=float))
-        steps = (scale * max(1.0, float(np.max(np.abs(x)))) / nd,)
-    diffs = []
-    for i, (d, t) in enumerate(zip(directions, steps)):
-        total = None
-        for o, w in zip(offsets, weights):
-            term = w * np.asarray(f(x + (o * t) * d), dtype=float)
-            total = term if total is None else total + term
-        diff = total / (denom * t)
-        if not np.all(np.isfinite(diff)):
-            raise EvaluationError(f"non-finite value in {name}, direction {i}")
-        diffs.append(diff)
-    return np.column_stack(diffs) if direction is None else diffs[0]
-
-
-def _directional_stack(f, x, stencil, name, direction):
-    """``_central``'s derivative along ``direction`` at a stack of points
-    x (S, n), ``direction`` being one per point (S, n) or one for all.
-
-    The stencil points of all S points are stacked offset by offset on
-    one leading axis and ``f`` is called once on them, so ``f`` must
-    compute over that axis and return its values stacked the same way
-    (DomainError otherwise).  Each point keeps its own step and the
-    left-to-right sum, so its derivative has the bits of the same
-    derivative at that point alone; a point whose direction is zero
-    gets zeros.  A non-finite derivative raises EvaluationError.
-    """
-    scale, offsets, weights, denom = stencil
-    count = len(x)
-    d = np.broadcast_to(_asvec(direction), x.shape)
-    nd = _maxreduce(np.absolute(d), 1)
-    still = nd == 0.0
-    t = scale * np.maximum(1.0, _maxreduce(np.absolute(x), 1)) / np.where(still, 1.0, nd)
-    value = np.asarray(f(np.concatenate([x + (o * t)[:, None] * d for o in offsets])),
-                       dtype=float)
-    if value.shape[:1] != (len(offsets) * count,):
-        raise DomainError(
-            f"callable returned shape {value.shape} for {len(offsets) * count} "
-            f"stencil points in {name}; it must compute over the leading axis")
-    value = value.reshape((len(offsets), count) + value.shape[1:])
-    total = None
-    for w, v in zip(weights, value):
-        term = w * v
-        total = term if total is None else total + term
-    diff = total / (denom * t).reshape((count,) + (1,) * (total.ndim - 1))
-    diff[still] = 0.0
-    if not np.all(np.isfinite(diff)):
-        raise EvaluationError(f"non-finite value in {name}, direction 0")
-    return diff
-
-
-def _complex_step(f, x, name, direction):
-    """``_central``'s complex-step row for a marked ``f``: the derivative
-    along d at step t is ``Im f(x + i t d) / t``, t as in ``_central``
-    at COMPLEX_STEP_SCALE.
-
-    For a Jacobian, the S n points x_s + i t e_k of all S points (one
-    when ``x`` is 1-D) and n directions are stacked on one leading axis
-    and ``f`` is called once on them; its values must come stacked the
-    same way (DomainError otherwise) and complex, or f has dropped the
-    imaginary part (EvaluationError).  The real part of the value along
-    e_0, f(x), must be finite, and so must each derivative: the first
-    point that fails either, in order, raises EvaluationError, as a
-    point-by-point loop would.
-    """
-    x = _asvec(x)
-    if direction is not None:
-        d = _asvec(direction)
-        nd = float(np.max(np.abs(d)))
-        if nd == 0.0:
-            return np.zeros_like(np.asarray(f(x), dtype=float))
-        t = COMPLEX_STEP_SCALE * max(1.0, float(np.max(np.abs(x)))) / nd
-        value = _complex_value(f(x + (1j * t) * d), name)
-        if not np.all(np.isfinite(value.real)):
+        d = np.broadcast_to(_asvec(direction), x.shape).reshape(-1, n)
+        dirs = d[:, None, :]
+        nd = _maxreduce(np.absolute(d), 1)
+        still = nd == 0.0
+        steps = (scale * np.maximum(1.0, _maxreduce(np.absolute(xs), 1))
+                 / np.where(still, 1.0, nd))[:, None]
+    # (point, direction, offset, coordinate)
+    points = (xs[:, None, None, :]
+              + (steps[..., None] * offsets)[..., None] * dirs[..., None, :])
+    flat = points.reshape(-1, n)
+    if marked or (direction is not None and lead):
+        value = np.asarray(f(flat), dtype=None if marked else float)
+        if value.shape[:1] != (len(flat),):
+            raise DomainError(
+                f"callable returned shape {value.shape} for {len(flat)} stencil "
+                f"points in {name}; it must compute over the leading axis")
+    else:
+        value = np.array([f(p) for p in flat], dtype=float)
+    shape = value.shape[1:]
+    value = value.reshape(points.shape[:3] + (-1,))
+    if marked:
+        if not np.iscomplexobj(value):
+            raise EvaluationError(f"complex-safe callable returned real values in {name}")
+        # f(x): the real part of the value along the first direction
+        fx_finite = _all(np.isfinite(value[:, 0, 0].real), 1)
+        value = value.imag
+    # the weighted terms in the Jacobian's layout (point, component,
+    # direction, offset), so the sum and the quotient come out in it;
+    # rebinding frees the values before the quotient is allocated
+    value = np.multiply(value.transpose(0, 3, 1, 2), weights, order="C")
+    total = value[..., 0]
+    for i in range(1, len(weights)):
+        total = total + value[..., i]
+    diff = total / (denom * steps)[:, None, :]
+    if still is not None:
+        diff[still] = 0.0
+    # np.maximum.reduce of |diff| is inf for an inf and NaN for a NaN,
+    # so one comparison tests every derivative
+    if not (_maxreduce(np.absolute(diff), None) < np.inf
+            and (not marked or fx_finite.all())):
+        # finite (point, direction), after f(x) in the complex-step row
+        finite = _all(np.isfinite(diff), 1)
+        if marked:
+            finite = np.column_stack((fx_finite, finite))
+        s = int(np.argmin(_all(finite, 1)))
+        j = int(np.argmin(finite[s])) - marked
+        if j < 0:
             raise EvaluationError(f"non-finite value encountered in {name} at x")
-        diff = value.imag / t
-        if not np.all(np.isfinite(diff)):
-            raise EvaluationError(f"non-finite value in {name}, direction 0")
-        return diff
-    stack = x.reshape(-1, x.shape[-1])
-    count, n = stack.shape
-    steps = COMPLEX_STEP_SCALE * np.maximum(1.0, np.abs(stack))
-    points = stack[:, None, :] + (1j * steps)[:, :, None] * np.eye(n)
-    value = _complex_value(f(points.reshape(count * n, n)), name)
-    if value.shape[:1] != (count * n,):
-        raise DomainError(
-            f"complex-safe callable returned shape {value.shape} for {count * n} "
-            f"points in {name}; it must compute over the leading axis")
-    value = value.reshape(count, n, -1)
-    # the derivatives divided straight into the Jacobian's layout
-    # (point, component, direction): no transposed copy of a block
-    jac = np.empty((count, value.shape[2], n))
-    np.divide(np.swapaxes(value.imag, 1, 2), steps[:, None, :], out=jac)
-    bad_fx = ~np.isfinite(value[:, 0].real).all(axis=1)
-    bad_diff = ~np.isfinite(jac).all(axis=1)
-    if bad_fx.any() or bad_diff.any():
-        s = int(np.argmax(bad_fx | bad_diff.any(axis=1)))
-        if bad_fx[s]:
-            raise EvaluationError(f"non-finite value encountered in {name} at x")
-        raise EvaluationError(
-            f"non-finite value in {name}, direction {int(np.argmax(bad_diff[s]))}")
-    return jac if x.ndim > 1 else jac[0]
-
-
-def _complex_value(value, name):
-    value = np.asarray(value)
-    if not np.iscomplexobj(value):
-        raise EvaluationError(f"complex-safe callable returned real values in {name}")
-    return value
+        raise EvaluationError(f"non-finite value in {name}, direction {j}")
+    return diff.reshape(lead + (diff.shape[1:] if direction is None else shape))
 
 
 def fd_jacobian(f, x):
-    """Jacobian of ``f`` at ``x`` by central differences, shape (m, n)."""
+    """Jacobian of ``f`` at ``x`` by central differences, shape (m, n);
+    points stacked on leading axes give Jacobians on the same axes."""
     return _central(f, x, _CENTRAL2, "fd_jacobian")
 
 
 def fd_gradient(f, x):
-    """Gradient of a scalar function, shape (n,)."""
-    return _central(lambda z: float(f(z)), x, _CENTRAL2, "fd_gradient")[0]
+    """Gradient of a scalar function, shape (n,); points stacked on
+    leading axes give gradients on the same axes."""
+    return _central(lambda z: float(f(z)), x, _CENTRAL2, "fd_gradient")[..., 0, :]
 
 
 def fd_jacobian4(f, x):
@@ -334,9 +289,10 @@ def fd_directional4(f, x, direction):
     """Order-4 derivative of ``t -> f(x + t*direction)`` at t = 0.
 
     ``f`` may return an array of any shape; the result has that shape.
-    At a stack of points (S, n), with one direction per point or one for
-    all, ``f`` gets all stencil points in one call and must compute over
-    the leading axis; the result is the stack of the points' derivatives.
+    At points stacked on leading axes, with one direction per point or
+    one for all, ``f`` gets all stencil points in one call and must
+    compute over the leading axis; the result is the stack of the
+    points' derivatives.
     """
     return _central(f, x, _CENTRAL4, "fd_directional4", direction)
 

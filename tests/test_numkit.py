@@ -39,6 +39,10 @@ def test_fd_gradient_matches_jacobian_row():
     x = np.array([0.7, -0.4])
     g = numkit.fd_gradient(f, x)
     assert_allclose(g, [2 * 0.7 * -0.4, 0.7 ** 2 + np.cos(-0.4)], atol=1e-8)
+    # a stack gives the stack of its points' gradients
+    xs = np.array([x, [1.5, 2.0]])
+    assert numkit.fd_gradient(f, xs).tobytes() == np.stack(
+        [numkit.fd_gradient(f, p) for p in xs]).tobytes()
 
 
 def test_fd_directional4_on_matrix_valued_map():
@@ -98,6 +102,10 @@ def test_jacobian_of_a_stack_is_the_stack_of_jacobians():
             assert stacked.shape == (4, 3, 2)
             for x, jac in zip(xs, stacked):
                 assert fd(g, x).tobytes() == jac.tobytes()
+            # points on several leading axes keep them, marked or not
+            grid = fd(g, np.concatenate([xs, xs[:2] + 1.0]).reshape(2, 3, 2))
+            assert grid.shape == (2, 3, 3, 2)
+            assert grid.reshape(6, 3, 2)[:4].tobytes() == stacked.tobytes()
     # a marked callable gets all complex-step points of a stack at once
     calls.clear()
     numkit.fd_jacobian4(marked, xs)
@@ -129,27 +137,72 @@ def test_complex_step_of_a_stack_names_the_first_bad_point():
         numkit.fd_jacobian4(g, np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]]))
 
 
-@pytest.mark.parametrize("stencil", [numkit._CENTRAL2, numkit._CENTRAL4])
+@pytest.mark.parametrize("stencil", [numkit._CENTRAL2, numkit._CENTRAL4, numkit._COMPLEX])
 def test_directional_derivative_of_a_stack_is_one_call(stencil):
-    # one direction per point, one of them zero: every stencil point of
-    # the stack goes to f at once, and each derivative has the bits of
-    # the same derivative at its point alone
-    f = lambda z: np.stack([np.exp(z[..., 0]) * np.sin(z[..., 1]),
-                            z[..., 0] * z[..., 1] ** 3], axis=-1)
+    # one direction per point, two of them zero: every stencil point of
+    # the stack goes to f at once, each derivative has the bits of the
+    # same derivative at its point alone, and a zero direction gives
+    # +0.0; the complex-step row, which the mark selects, does the same
+    # with its own step at each point
+    mark = numkit.complex_safe if stencil is numkit._COMPLEX else (lambda g: g)
+    f = mark(lambda z: np.stack([np.exp(z[..., 0]) * np.sin(z[..., 1]),
+                                 z[..., 0] * z[..., 1] ** 3], axis=-1))
     calls = []
-    counted = lambda z: calls.append(z.shape) or f(z)
-    xs = np.array([[0.3, -1.7], [2.0, 0.5], [-40.0, 1e-3], [0.0, 0.0]])
-    ds = np.array([[1.0, -1.0], [0.0, 0.0], [0.25, 3.0], [-2.0, 0.5]])
+    counted = mark(lambda z: calls.append(z.shape) or f(z))
+    xs = np.array([[0.3, -1.7], [2.0, 0.5], [-40.0, 1e-3], [0.0, 0.0],
+                   [0.3, 0.4], [500.0, 2.0], [-3.0, -2.0]])
+    ds = np.array([[1.0, -1.0], [0.0, 0.0], [0.25, 3.0], [-2.0, 0.5],
+                   [1.0, 0.5], [1.0, 0.5], [0.0, 0.0]])
     stacked = numkit._central(counted, xs, stencil, "test", ds)
     assert calls == [(len(stencil[1]) * len(xs), 2)]
-    assert stacked.shape == (4, 2)
-    assert not np.any(stacked[1])
+    assert stacked.shape == (7, 2)
+    for zero in (stacked[1], stacked[6]):
+        assert zero.tobytes() == np.zeros(2).tobytes()
     for x, d, row in zip(xs, ds, stacked):
         assert numkit._central(f, x, stencil, "test", d).tobytes() == row.tobytes()
     # one direction for all points
     shared = numkit._central(f, xs, stencil, "test", ds[0])
     for x, row in zip(xs, shared):
         assert numkit._central(f, x, stencil, "test", ds[0]).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("direction", [None, np.array([1.0, -2.0])])
+def test_unmarked_callable_gets_each_stencil_point_once_in_order(direction):
+    # at a single point, or a Jacobian at a stack: 1-D points in order of
+    # point, direction and offset, each once
+    seen = []
+
+    def f(z):
+        seen.append(z.copy())
+        return np.array([z[0] * z[1], z[1]])
+
+    xs = np.array([[0.3, -1.7], [2.0, 0.5]])
+    scale, offsets = numkit.FD4_STEP_SCALE, numkit._CENTRAL4[1]
+    if direction is None:
+        numkit.fd_jacobian4(f, xs)
+        steps = scale * np.maximum(1.0, np.abs(xs))
+        expected = [x + (o * t) * e for x, ts in zip(xs, steps)
+                    for t, e in zip(ts, np.eye(2)) for o in offsets]
+    else:
+        numkit.fd_directional4(f, xs[1], direction)
+        t = scale * max(1.0, np.max(np.abs(xs[1]))) / np.max(np.abs(direction))
+        expected = [xs[1] + (o * t) * direction for o in offsets]
+    assert [z.shape for z in seen] == [(2,)] * len(expected)
+    assert np.array(seen).tobytes() == np.array(expected).tobytes()
+
+
+def test_callable_raising_mid_stencil_surfaces_as_itself():
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        if len(calls) == 3:
+            raise KeyError("bug in the callable")
+        return z
+
+    with pytest.raises(KeyError, match="bug in the callable"):
+        numkit.fd_jacobian4(f, np.array([0.3, 0.4]))
+    assert len(calls) == 3
 
 
 def test_directional_derivative_of_a_stack_needs_the_leading_axis():
@@ -162,7 +215,10 @@ def test_directional_derivative_of_a_stack_needs_the_leading_axis():
 
 
 def test_complex_step_directional_derivative():
-    g = numkit.complex_safe(lambda z: np.array([[z[0] ** 2, z[0] * z[1]]]))
+    # a (1, 2) value per point, computed over leading axes as the mark
+    # promises
+    g = numkit.complex_safe(
+        lambda z: np.stack([z[..., 0] ** 2, z[..., 0] * z[..., 1]], axis=-1)[..., None, :])
     d = numkit.fd_directional4(g, np.array([0.5, 2.0]), np.array([1.0, -1.0]))
     assert_allclose(d, [[1.0, 2.0 - 0.5]], rtol=4 * numkit.EPS, atol=0)
 
