@@ -229,7 +229,11 @@ class BackwardErrorCase:
         return ((1.0 - h * h) * x + h * p - self.gauge * h * h, p - h * x)
 
     def shadow_energy(self, x: float, p: float):
-        return 0.5 * (x * x + p * p) - self.h * (self.gauge * p + 0.5 * x * p)
+        """The shadow Hamiltonian that ``phase_step`` conserves exactly,
+        the catalogue's ``shadow`` monitor of backward-error."""
+        h, gauge = self.h, self.gauge
+        return (0.5 * (x * x + p * p) - h * (gauge * p + 0.5 * x * p)
+                + 0.5 * gauge * h * h * x)
 
     def exact_shadow_lagrangian(self) -> DiscreteLagrangian:
         return exact_discrete_lagrangian(self.shadow, self.h)

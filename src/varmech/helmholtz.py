@@ -39,9 +39,10 @@ maps, recurrences, implicit equations and two-form fields take points
 stacked on a leading axis through ``numkit.pointwise``, which hands the
 stack to a callable marked by ``numkit.complex_safe`` in one call and
 calls an unmarked one on each point in order, and the difference
-kernel differentiates an unmarked callable one point at a time.  Newton
-solves, the third member of dhc-implicit's triples and ihc's
-accelerations, run one point at a time through the same helper.
+kernel differentiates an unmarked callable one point at a time.  The
+Newton solves, of the third member of dhc-implicit's triples and of
+ihc's accelerations, are both ``sode.ImplicitSOdE.solve_last``, run one
+point at a time through the same helper.
 
 All residuals here are exact zeros for variational data, so any value
 above the derivatives' noise floor is meaningful.  The first
@@ -476,41 +477,6 @@ def two_form_checks(omega: TwoFormField, z, flow: Callable | None = None,
 # continuous Helmholtz conditions
 
 
-@dataclass
-class ImplicitODE:
-    """Continuous implicit second-order equation phi(q, qdot, qddot) = 0
-    with optional analytic acceleration Jacobian ``c``.  The equation
-    takes points stacked on leading axes, through ``numkit.pointwise``;
-    a ``phi`` marked by ``numkit.complex_safe`` gets a whole block of
-    samples in one call."""
-
-    dim: int
-    phi: Callable
-    c: Callable | None = None
-
-    def __call__(self, q, qd, qdd):
-        """``phi`` at (q, qd, qdd), one value per point of the leading
-        axes, checked for shape by ``numkit.pointwise``."""
-        return numkit.pointwise(self.phi, (q, qd, qdd), (self.dim,), "phi")
-
-    def C(self, q, qd, qdd):
-        """Jacobian of phi in the acceleration slot: the analytic ``c``
-        when given, one (n, n) matrix per point of the leading axes,
-        checked for shape by ``numkit.pointwise``; else order-4
-        differences at one point."""
-        if self.c is not None:
-            return np.asarray(numkit.pointwise(self.c, (q, qd, qdd), (self.dim, self.dim),
-                                               "c"), dtype=float)
-        return numkit.fd_jacobian4(lambda a: self(q, qd, a), np.asarray(qdd, dtype=float))
-
-    def solve_acceleration(self, q, qd):
-        """The acceleration solving phi(q, qd, .) = 0, by Newton from 0."""
-        q = np.asarray(q, dtype=float)
-        qd = np.asarray(qd, dtype=float)
-        return numkit.newton_solve(lambda a: self(q, qd, a), np.zeros(self.dim),
-                                   jacobian=lambda a: self.C(q, qd, a))
-
-
 def chc_classical(phi: Callable, jet):
     """Classical Helmholtz residuals of a force expression phi(q, qd, qdd)
     along a jet (q, qd, qdd, qddd).
@@ -549,28 +515,27 @@ def _jet_jacobians(flat: Callable, z, zdot):
     return jac, dt_jac
 
 
-def chc_implicit(fiber: Callable, ode: ImplicitODE, q, qd, qdd=None):
-    """Helmholtz residuals for an implicit equation tested against a
-    candidate velocity-space momentum map F(q, qd).
+def chc_implicit(fiber: Callable, ode: ImplicitSOdE, q, qd, qdd=None):
+    """Helmholtz residuals for an implicit force law phi(q, qd, qdd) = 0
+    tested against a candidate velocity-space momentum map F(q, qd).
 
-    The acceleration is solved from phi = 0 when not supplied, one point
-    at a time.  The residuals vanish iff F fits the equation
-    variationally; unlike the classical test this never needs the
-    equation solved for qddot in closed form, only the acceleration
-    Jacobian C, which must be regular (SingularJacobian otherwise).  C is
-    the analytic ``c`` when given, else read off phi's Jacobian in all
-    three slots.
+    The acceleration is solved from phi = 0 when not supplied, by
+    ``ode.solve_last`` from 0, one point at a time.  The residuals
+    vanish iff F fits the equation variationally; unlike the classical
+    test this never needs the equation solved for qddot in closed form,
+    only the acceleration Jacobian C, which must be regular
+    (SingularJacobian otherwise).
 
     Points stacked on a leading axis (S, n) give stacks of the
     residuals.  F's Jacobian and its time derivative along (qd, qdd)
-    come from ``_jet_jacobians``; phi's Jacobian is the complex step for
-    a complex-safe ``phi`` and order-4 differences otherwise.
+    come from ``_jet_jacobians``; phi's slot Jacobians and C come from
+    ``ode.jacobians``.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     qd = np.atleast_1d(np.asarray(qd, dtype=float))
     n = q.shape[-1]
     if qdd is None:
-        qdd = numkit.pointwise(ode.solve_acceleration, (q, qd))
+        qdd = numkit.pointwise(lambda a, b: ode.solve_last(a, b, np.zeros(n)), (q, qd))
     qdd = np.atleast_1d(np.asarray(qdd, dtype=float))
 
     z = np.concatenate([q, qd], axis=-1)
@@ -579,12 +544,7 @@ def chc_implicit(fiber: Callable, ode: ImplicitODE, q, qd, qdd=None):
     fq, fd = jac[..., :n], jac[..., n:]
     dt_fq, dt_fd = dt_jac[..., :n], dt_jac[..., n:]
 
-    # phi's Jacobian in all three slots; its last block is C unless c is given
-    jphi = numkit.fd_jacobian4(numkit.complex_safe(
-        lambda zz: ode(zz[..., :n], zz[..., n:2 * n], zz[..., 2 * n:]), ode.phi),
-        np.concatenate([z, qdd], axis=-1))
-    jq, jd = jphi[..., :n], jphi[..., n:2 * n]
-    cmat = jphi[..., 2 * n:] if ode.c is None else ode.C(q, qd, qdd)
+    jq, jd, cmat = ode.jacobians(q, qd, qdd)
     fd_cinv = _transpose(numkit.lu_solve(_transpose(cmat), _transpose(fd)))  # Fd @ C^{-1}
 
     r1 = fd - _transpose(fd)
@@ -846,7 +806,7 @@ def check_chc(phi: Callable, jets, tol: float = 1e-6,
         flat_jets, tol, system, params)
 
 
-def check_ihc(fiber: Callable, ode: ImplicitODE, points, tol: float = 1e-6,
+def check_ihc(fiber: Callable, ode: ImplicitSOdE, points, tol: float = 1e-6,
               system: str = "", params: dict | None = None):
     """Implicit continuous Helmholtz verdict at stacked (q, qd) points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -85,8 +85,9 @@ class DiscreteLagrangian:
         """Whether D12 is invertible at (q0, q1) at working precision,
         by ``numkit.is_regular``, the test of the linear solves; it is
         invariant under rescaling the Lagrangian.  When D12 comes from
-        the cross stencil its entries carry noise near 4e-9 times the
-        function scale, so rows below that floor count as zero.
+        the nested differences of ``numkit.fd_mixed_hessian`` its
+        entries carry noise near 4e-9 times the function scale, so rows
+        below that floor count as zero.
         """
         m = self.D12(q0, q1)
         if self.d12 is None:

@@ -8,11 +8,12 @@ are fixed here once:
   ``eps`` a module constant per stencil (FD_STEP_SCALE, FD2_STEP_SCALE,
   FD4_STEP_SCALE);
 * the central differences (``fd_jacobian``, ``fd_gradient``,
-  ``fd_jacobian4``, ``fd_directional4``) run in one kernel over a
-  stencil table of order-2, order-4 and complex-step rows.  It builds
-  all stencil points of a stack in one array, sums each row's terms
-  left to right and divides once, and it rejects a non-finite
-  derivative, so a NaN at any stencil point raises EvaluationError;
+  ``fd_jacobian4``, ``fd_directional4``, and ``fd_mixed_hessian``, a
+  difference of differences) run in one kernel over a stencil table of
+  order-2, order-4 and complex-step rows.  It builds all stencil points
+  of a stack in one array, sums each row's terms left to right and
+  divides once, and it rejects a non-finite derivative, so a NaN at
+  any stencil point raises EvaluationError;
 * a callable marked by ``complex_safe`` computes with complex points as
   it does with real ones, so its values are analytic in them, and over
   leading axes of stacked points.  In the difference kernel the mark
@@ -63,7 +64,7 @@ from .errors import (DomainError, EvaluationError, NoConvergence, NumericsError,
 
 # Relative step of the first-order central differences.
 FD_STEP_SCALE = 2.0 ** -17
-# Relative step of the mixed second-difference cross stencil: about
+# Relative step of both differences of fd_mixed_hessian: about
 # mach**(1/4), the optimum for second differences rather than first ones.
 FD2_STEP_SCALE = 1.2e-4
 # Wider step for the order-4 stencil (optimum grows with stencil order).
@@ -83,6 +84,9 @@ _CENTRAL2 = (FD_STEP_SCALE, np.array([1.0, -1.0]), np.array([1.0, -1.0]), 2.0)
 _CENTRAL4 = (FD4_STEP_SCALE, np.array([2.0, 1.0, -1.0, -2.0]),
              np.array([-1.0, 8.0, -8.0, 1.0]), 12.0)
 _COMPLEX = (COMPLEX_STEP_SCALE, np.array([1j]), np.array([1.0]), 1.0)
+# The order-2 row at the second-difference step, taken once per slot by
+# fd_mixed_hessian.
+_CROSS = (FD2_STEP_SCALE,) + _CENTRAL2[1:]
 # The attribute of the complex-safe mark.
 _MARK = "complex_safe"
 # Singularity threshold of lu_solve: a row-scaled condition number above
@@ -299,31 +303,15 @@ def fd_directional4(f, x, direction):
 
 def fd_mixed_hessian(f, a, b):
     """Matrix of mixed second partials ``d^2 f / da_i db_j`` of a scalar
-    two-slot function, by the four-point cross stencil at relative step
+    two-slot function, shape (len(a), len(b)): the order-2 difference in
+    a of the order-2 gradient in b, both at relative step
     FD2_STEP_SCALE."""
-    a = _asvec(a)
     b = _asvec(b)
-    sa = FD2_STEP_SCALE * np.maximum(1.0, np.abs(a))
-    sb = FD2_STEP_SCALE * np.maximum(1.0, np.abs(b))
-    out = np.empty((a.size, b.size))
-    for i in range(a.size):
-        ea = np.zeros_like(a)
-        ea[i] = sa[i]
-        for j in range(b.size):
-            eb = np.zeros_like(b)
-            eb[j] = sb[j]
-            v = (
-                float(f(a + ea, b + eb))
-                - float(f(a + ea, b - eb))
-                - float(f(a - ea, b + eb))
-                + float(f(a - ea, b - eb))
-            )
-            if not np.isfinite(v):
-                raise EvaluationError(
-                    f"non-finite value in fd_mixed_hessian at entry ({i}, {j})"
-                )
-            out[i, j] = v / (4.0 * sa[i] * sb[j])
-    return out
+
+    def grad_b(x):
+        return _central(lambda y: float(f(x, y)), b, _CROSS, "fd_mixed_hessian")[0]
+
+    return _central(grad_b, a, _CROSS, "fd_mixed_hessian").T
 
 
 def antisymmetrize(m):

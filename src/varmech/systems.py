@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, UnknownSystem
-from .helmholtz import FiberMap, ImplicitODE, TwoFormField, sample_box
+from .helmholtz import FiberMap, TwoFormField, sample_box
 from .lagrangian import DiscreteLagrangian
 from .nonholonomic import (DiscretizationRule, NonholonomicSystem,
                            midpoint_energy, midpoint_rule)
@@ -496,7 +496,7 @@ class ImplicitForceSystem:
     jets at which the classical test's failure has a closed form."""
 
     name: str
-    ode: ImplicitODE
+    ode: ImplicitSOdE
     momentum: Callable
     jets: list
     worst_residual_reference: Callable
@@ -519,7 +519,9 @@ class ImplicitForceSystem:
 def implicit_exp() -> ImplicitForceSystem:
     """Force law (exp(qdd0 - q0) - 1, qdd1 - q1): not variational as a
     force expression, but variational once tested against the plain
-    velocity momentum through the implicit machinery."""
+    velocity momentum through the implicit machinery.  The law is an
+    ``ImplicitSOdE`` with slots (q, qd, qdd), the type of the implicit
+    recurrences, with its analytic acceleration Jacobian as ``c``."""
 
     def phi(q, qd, qdd):
         out = qdd - q
@@ -545,7 +547,7 @@ def implicit_exp() -> ImplicitForceSystem:
 
     return ImplicitForceSystem(
         name="implicit-exp",
-        ode=ImplicitODE(dim=2, phi=complex_safe(phi), c=complex_safe(c)),
+        ode=ImplicitSOdE(dim=2, phi=complex_safe(phi), c=complex_safe(c)),
         momentum=complex_safe(lambda q, qd: qd.copy()),
         jets=jets,
         worst_residual_reference=reference,

@@ -112,6 +112,17 @@ def test_phase_step_preserves_shifted_quadratic():
         assert np.ptp(values) < 1e-12, gauge
 
 
+@pytest.mark.parametrize("gauge", [0.0, 0.3, 1.0])
+def test_shadow_energy_is_conserved_by_phase_step(gauge):
+    # the catalogue's shadow Hamiltonian, gauge h^2 x / 2 term included
+    case = backward_error_objects(h=0.1, gauge=gauge)
+    x, p = 0.7, -0.2
+    start = case.shadow_energy(x, p)
+    for _ in range(1000):
+        x, p = case.phase_step(x, p)
+        assert abs(case.shadow_energy(x, p) - start) < 1e-12
+
+
 def test_shadow_lagrangian_is_gauge_shifted_action():
     # closing the rectangle: the shadow system's exact discrete
     # Lagrangian is the oscillator action plus total-difference terms

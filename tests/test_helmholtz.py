@@ -216,18 +216,18 @@ def test_chc_exponential_acceleration_jet():
 
 
 def test_ihc_passes_velocity_map():
-    ode = hz.ImplicitODE(dim=2,
-                         phi=lambda q, qd, qdd: np.array(
-                             [np.exp(qdd[0] - q[0]) - 1.0, qdd[1] - q[1]]))
+    ode = ImplicitSOdE(dim=2,
+                       phi=lambda q, qd, qdd: np.array(
+                           [np.exp(qdd[0] - q[0]) - 1.0, qdd[1] - q[1]]))
     fiber = lambda q, qd: qd.copy()
     for r in hz.chc_implicit(fiber, ode, np.zeros(2), np.ones(2)):
         assert np.max(np.abs(r)) < 1e-9
 
 
 def test_ihc_detects_position_coupling():
-    ode = hz.ImplicitODE(dim=2,
-                         phi=lambda q, qd, qdd: np.array(
-                             [np.exp(qdd[0] - q[0]) - 1.0, qdd[1] - q[1]]))
+    ode = ImplicitSOdE(dim=2,
+                       phi=lambda q, qd, qdd: np.array(
+                           [np.exp(qdd[0] - q[0]) - 1.0, qdd[1] - q[1]]))
     fiber = lambda q, qd: np.array([qd[0] + q[1], qd[1]])
     r1, r2, r3 = hz.chc_implicit(fiber, ode, np.zeros(2), np.ones(2))
     assert np.max(np.abs(r1)) < 1e-10
@@ -236,22 +236,22 @@ def test_ihc_detects_position_coupling():
 
 
 def test_implicit_ode_solves_acceleration():
-    ode = hz.ImplicitODE(dim=2,
-                         phi=lambda q, qd, qdd: np.array(
-                             [np.exp(qdd[0] - q[0]) - 1.0, qdd[1] - q[1]]))
+    ode = ImplicitSOdE(dim=2,
+                       phi=lambda q, qd, qdd: np.array(
+                           [np.exp(qdd[0] - q[0]) - 1.0, qdd[1] - q[1]]))
     q = np.array([0.3, -0.2])
-    acc = ode.solve_acceleration(q, np.ones(2))
+    acc = ode.solve_last(q, np.ones(2), np.zeros(2))
     assert_allclose(acc, q, atol=1e-10)
 
 
 def test_implicit_ode_analytic_c_goes_through_pointwise():
     q, qd, qdd = np.random.default_rng(4).uniform(-1, 1, size=(3, 5, 2))
     cm = np.array([[1.0, 0.25], [0.0, 3.0]])
-    ode = hz.ImplicitODE(dim=2, phi=lambda q, qd, qdd: cm @ qdd - q,
-                         c=lambda q, qd, qdd: cm)
+    ode = ImplicitSOdE(dim=2, phi=lambda q, qd, qdd: cm @ qdd - q,
+                       c=lambda q, qd, qdd: cm)
     assert np.array_equal(ode.C(q, qd, qdd), np.broadcast_to(cm, (5, 2, 2)))
     assert np.array_equal(ode.C(q[0], qd[0], qdd[0]), cm)
-    wrong = hz.ImplicitODE(dim=2, phi=ode.phi, c=lambda q, qd, qdd: np.eye(3))
+    wrong = ImplicitSOdE(dim=2, phi=ode.phi, c=lambda q, qd, qdd: np.eye(3))
     with pytest.raises(DomainError, match=r"c returned shape \(3, 3\), expected \(2, 2\)"):
         wrong.C(q[0], qd[0], qdd[0])
     with pytest.raises(DomainError, match=r"c returned shape \(5, 3, 3\)"):
@@ -270,11 +270,11 @@ def test_implicit_ode_takes_stacked_points():
     assert ode(q + 1e-30j, qd, qdd).dtype == complex
     # an unmarked phi is called point by point; a marked one must
     # compute over the leading axis
-    plain = hz.ImplicitODE(dim=2, phi=lambda q, qd, qdd: qdd - q)
+    plain = ImplicitSOdE(dim=2, phi=lambda q, qd, qdd: qdd - q)
     assert plain(q, qd, qdd).tobytes() == np.stack(
         [plain(q[i], qd[i], qdd[i]) for i in range(5)]).tobytes()
     with pytest.raises(DomainError, match=r"phi returned shape \(2,\), expected \(5, 2\)"):
-        hz.ImplicitODE(dim=2, phi=numkit.complex_safe(lambda q, qd, qdd: np.zeros(2)))(
+        ImplicitSOdE(dim=2, phi=numkit.complex_safe(lambda q, qd, qdd: np.zeros(2)))(
             q, qd, qdd)
 
 
@@ -671,7 +671,7 @@ def _linear_ihc_case(cm, dm, km, mm, nm, marked):
     n = len(cm)
     mark = numkit.complex_safe if marked else (lambda f: f)
     phi = mark(lambda q, qd, qdd: qdd @ cm.T + qd @ dm.T + q @ km.T)
-    ode = hz.ImplicitODE(dim=n, phi=phi, c=None if marked else (lambda q, qd, qdd: cm))
+    ode = ImplicitSOdE(dim=n, phi=phi, c=None if marked else (lambda q, qd, qdd: cm))
     fiber = mark(lambda q, qd: qd @ mm.T + q @ nm.T)
     x = mm @ np.linalg.inv(cm)
     y = -x @ km
@@ -808,7 +808,7 @@ def test_check_dhc_implicit_singular_c_raises():
 
 def test_check_ihc_singular_acceleration_jacobian_raises():
     # phi = qdd^3 has the root qdd = 0, where its Jacobian vanishes
-    ode = hz.ImplicitODE(dim=1, phi=lambda q, qd, qdd: qdd ** 3)
+    ode = ImplicitSOdE(dim=1, phi=lambda q, qd, qdd: qdd ** 3)
     with pytest.raises(SingularJacobian):
         hz.check_ihc(lambda q, qd: qd.copy(), ode, [[0.1, 0.2]])
 
@@ -831,9 +831,9 @@ def test_check_chc_and_ihc_reports():
     assert by_name["cHC3"].max_residual == pytest.approx(0.6, abs=1e-8)
     assert by_name["cHC1"].passed and by_name["cHC2"].passed
 
-    ode = hz.ImplicitODE(dim=2,
-                         phi=lambda q, qd, qdd: np.array(
-                             [np.exp(qdd[0] - q[0]) - 1.0, qdd[1] - q[1]]))
+    ode = ImplicitSOdE(dim=2,
+                       phi=lambda q, qd, qdd: np.array(
+                           [np.exp(qdd[0] - q[0]) - 1.0, qdd[1] - q[1]]))
     points = hz.sample_box(4, 4, box=0.5, seed=2)
     rep2 = hz.check_ihc(lambda q, qd: qd.copy(), ode, points)
     assert rep2.verdict
@@ -870,7 +870,7 @@ EMPTY_CHECKS = {
     "chc": (lambda jets: hz.check_chc(lambda q, qd, qdd: qdd + q, jets), 4),
     "ihc": (lambda pts: hz.check_ihc(
         lambda q, qd: qd.copy(),
-        hz.ImplicitODE(dim=1, phi=lambda q, qd, qdd: qdd + q), pts), 2),
+        ImplicitSOdE(dim=1, phi=lambda q, qd, qdd: qdd + q), pts), 2),
     "two-form": (lambda pts: hz.check_two_form(
         hz.TwoFormField.from_lagrangian(kinetic_lagrangian()), pts), 4),
     "functional": (lambda pts: hz.check_functional(
@@ -1006,7 +1006,7 @@ def _block_run(which, count):
                                              tol=1e-8)
     if which == "ihc-unmarked":
         bundle = systems.make_system("implicit-exp")
-        ode = hz.ImplicitODE(dim=2, phi=_plain(bundle.ode.phi), c=_plain(bundle.ode.c))
+        ode = ImplicitSOdE(dim=2, phi=_plain(bundle.ode.phi), c=_plain(bundle.ode.c))
         return lambda: hz.check_ihc(_plain(bundle.momentum), ode,
                                     bundle.probes(count, seed=5), tol=1e-7)
     if which in ("chc", "chc-unmarked"):
@@ -1205,7 +1205,7 @@ def _unmarked_bug_run(which, samples, wrap):
         return lambda: hz.check_dhc_implicit(bundle.fiber, eq, samples)
     bundle = systems.make_system("implicit-exp")
     if which == "ihc":
-        ode = hz.ImplicitODE(dim=2, phi=wrap(bundle.ode.phi), c=bundle.ode.c)
+        ode = ImplicitSOdE(dim=2, phi=wrap(bundle.ode.phi), c=bundle.ode.c)
         return lambda: hz.check_ihc(bundle.momentum, ode, samples)
     jets = [tuple(np.split(z, 4)) for z in samples]
     return lambda: hz.check_chc(wrap(bundle.force), jets)

@@ -288,6 +288,23 @@ def test_fd_mixed_hessian():
     assert_allclose(hess, [[3.0, 0.0], [0.0, 3 * 0.64]], atol=1e-6)
 
 
+def test_fd_mixed_hessian_of_a_rectangular_nonsymmetric_pair():
+    # f(a, b) = a0 b2 + 2 a1 b0 + a0^2 b1: entry [i, j] is d2f/da_i db_j,
+    # [[0, 2 a0, 1], [2, 0, 0]], with a of length 2 and b of length 3
+    f = lambda a, b: a[0] * b[2] + 2 * a[1] * b[0] + a[0] ** 2 * b[1]
+    hess = numkit.fd_mixed_hessian(f, np.array([0.7, -1.2]), np.array([0.3, 0.5, -0.4]))
+    assert hess.shape == (2, 3)
+    assert_allclose(hess, [[0.0, 1.4, 1.0], [2.0, 0.0, 0.0]], atol=1e-6)
+
+
+def test_fd_mixed_hessian_rejects_a_nan_at_one_cross_point():
+    a, b = np.array([0.5, 0.2]), np.array([0.1, -0.3])
+    # NaN only where both a0 and b1 are stepped up
+    f = lambda x, y: np.nan if (x[0] > a[0] and y[1] > b[1]) else float(x @ y)
+    with pytest.raises(EvaluationError, match="fd_mixed_hessian"):
+        numkit.fd_mixed_hessian(f, a, b)
+
+
 def test_antisymmetrize():
     m = np.array([[1.0, 2.0], [0.0, 3.0]])
     out = numkit.antisymmetrize(m)

@@ -147,6 +147,20 @@ def test_tangent_basis_of_a_complex_safe_phi_is_exact():
         assert_allclose(b_fd, b, rtol=0, atol=1e-9)
 
 
+def test_tangent_basis_of_an_unmarked_phi_is_order_4():
+    # the unmarked copy of exp-recurrence's phi: its slot Jacobians come
+    # from the order-4 stencil, 5e-11 from A = (1, 0, -1), B = (0, 1, 2)
+    eq = systems.make_system("exp-recurrence").equation
+    plain = sode.ImplicitSOdE(dim=1, phi=lambda *q: eq.phi(*q), c=eq.c)
+    assert not numkit.is_complex_safe(plain.phi)
+    for x0, x1 in [(0.3, -0.4), (-0.9, 0.65), (2.5, 2.0)]:
+        q0, q1 = np.array([x0]), np.array([x1])
+        q2 = sode.implicit_step(eq, q0, q1)
+        a, b = sode.tangent_basis(plain, q0, q1, q2)
+        assert_allclose(a, [[1.0, 0.0, -1.0]], rtol=0, atol=5e-11)
+        assert_allclose(b, [[0.0, 1.0, 2.0]], rtol=0, atol=5e-11)
+
+
 def test_explicit_to_implicit_inherits_the_mark():
     marked = sode.ExplicitSOdE(dim=1, gamma=numkit.complex_safe(lambda a, b: 2 * b - a))
     plain = sode.ExplicitSOdE(dim=1, gamma=lambda a, b: 2 * b - a)

@@ -219,8 +219,8 @@ def test_implicit_exp_jets_sit_on_the_manifold():
     assert_allclose(case.worst_residual_reference(second), 0.4, atol=1e-12)
     probes = case.probes(8, seed=1)
     assert probes.shape == (8, 4)
-    acc = case.ode.solve_acceleration(np.array([0.3, -0.2]),
-                                      np.array([0.1, 0.1]))
+    acc = case.ode.solve_last(np.array([0.3, -0.2]), np.array([0.1, 0.1]),
+                              np.zeros(2))
     assert_allclose(acc, [0.3, -0.2], atol=1e-11)
 
 
