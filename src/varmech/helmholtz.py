@@ -41,8 +41,10 @@ stack to a callable marked by ``numkit.complex_safe`` in one call and
 calls an unmarked one on each point in order, and the difference
 kernel differentiates an unmarked callable one point at a time.  The
 Newton solves, of the third member of dhc-implicit's triples and of
-ihc's accelerations, are both ``sode.ImplicitSOdE.solve_last``, run one
-point at a time through the same helper.
+ihc's accelerations, are both ``sode.ImplicitSOdE.solve_last``, run on
+the whole block as one stacked ``numkit.newton_solve``: each point gets
+the bits of its own solve, and a failing point fails the block, which
+is then redone one point at a time.
 
 All residuals here are exact zeros for variational data, so any value
 above the derivatives' noise floor is meaningful.  The first
@@ -520,11 +522,11 @@ def chc_implicit(fiber: Callable, ode: ImplicitSOdE, q, qd, qdd=None):
     tested against a candidate velocity-space momentum map F(q, qd).
 
     The acceleration is solved from phi = 0 when not supplied, by
-    ``ode.solve_last`` from 0, one point at a time.  The residuals
-    vanish iff F fits the equation variationally; unlike the classical
-    test this never needs the equation solved for qddot in closed form,
-    only the acceleration Jacobian C, which must be regular
-    (SingularJacobian otherwise).
+    ``ode.solve_last`` from 0, for all points in one stacked Newton
+    solve.  The residuals vanish iff F fits the equation variationally;
+    unlike the classical test this never needs the equation solved for
+    qddot in closed form, only the acceleration Jacobian C, which must
+    be regular (SingularJacobian otherwise).
 
     Points stacked on a leading axis (S, n) give stacks of the
     residuals.  F's Jacobian and its time derivative along (qd, qdd)
@@ -535,7 +537,7 @@ def chc_implicit(fiber: Callable, ode: ImplicitSOdE, q, qd, qdd=None):
     qd = np.atleast_1d(np.asarray(qd, dtype=float))
     n = q.shape[-1]
     if qdd is None:
-        qdd = numkit.pointwise(lambda a, b: ode.solve_last(a, b, np.zeros(n)), (q, qd))
+        qdd = ode.solve_last(q, qd, np.zeros_like(q))
     qdd = np.atleast_1d(np.asarray(qdd, dtype=float))
 
     z = np.concatenate([q, qd], axis=-1)
@@ -743,14 +745,13 @@ def check_dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, samples,
 def check_dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, samples,
                        tol: float = 1e-6, system: str = "", params: dict | None = None):
     """Sampled implicit discrete Helmholtz verdict; samples are pair
-    points, the third triple member is solved from phi = 0, one point
-    at a time."""
+    points, the third triple member is solved from phi = 0 by
+    ``implicit_step``, for a block of samples at once."""
     n = fiber.dim
 
     def residuals_at(block):
         q0, q1 = block[:, :n], block[:, n:]
-        q2 = numkit.pointwise(lambda a, b: implicit_step(eq, a, b), (q0, q1))
-        return _dhc_implicit(fiber, eq, q0, q1, q2)
+        return _dhc_implicit(fiber, eq, q0, q1, implicit_step(eq, q0, q1))
 
     return _sampled_check(
         "dhc-implicit", ("dHC1", "dHC2", "dHC3"), residuals_at,

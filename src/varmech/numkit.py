@@ -34,16 +34,20 @@ are fixed here once:
   force law, ``c`` and momentum, and so do the embeddings, slot maps
   and two-form fields built from marked parts;
 * every linear system goes through one path, ``lu_solve``: LAPACK's
-  partial-pivot LU plus a row-scaled conditioning test, so a singular or
-  near-singular Jacobian surfaces as SingularJacobian instead of NaNs or
-  a huge step, for vector and matrix right-hand sides alike, and for a
-  stack of matrices, whose members are each tested so;
+  partial-pivot LU, called as numpy's gesv gufunc, plus a row-scaled
+  conditioning test, so a singular or near-singular Jacobian surfaces
+  as SingularJacobian instead of NaNs or a huge step, for vector and
+  matrix right-hand sides alike, and for a stack of matrices, whose
+  members are each tested so;
 * whether a matrix is regular is decided by that same test
   (``is_regular``: ``lu_solve`` accepts it against the identity), not
   by a determinant threshold of its own;
 * every time-stepping integrator runs in ``march``, which turns a
   numerical failure (NumericsError) into StepFailure and lets any other
   exception through untouched;
+* every Newton iteration runs in ``newton_solve``, for one point or for
+  a stack of independent solves, whose unconverged members iterate
+  together, each with its own bits;
 * the default Newton tolerance (``tol=None``) is floored at the
   residual's rounding level, which grows with the size of the points;
   a numeric ``tol`` is taken literally;
@@ -58,6 +62,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (DomainError, EvaluationError, NoConvergence, NumericsError,
                      SingularJacobian, StepFailure)
@@ -103,6 +108,10 @@ PAIR_CHUNK = 1024
 
 
 _FLOAT = np.dtype(float)
+# LAPACK's gesv as numpy's gufuncs for a vector and a matrix right-hand
+# side: what np.linalg.solve calls, without its wrapper
+_gesv1 = _umath_linalg.solve1
+_gesv = _umath_linalg.solve
 _maxreduce = np.maximum.reduce
 _all = np.logical_and.reduce
 
@@ -325,63 +334,52 @@ def lu_solve(a, rhs):
     """Solve ``a x = rhs``, raising SingularJacobian on degeneracy.
 
     The package's one linear-solve path: LAPACK's partial-pivot LU
-    (``np.linalg.solve``), then one conditioning test.  After scaling
-    each row of the system by the row's largest entry of ``a``, a
-    solution larger than the scaled right-hand side over PIVOT_FLOOR
-    proves a condition number above 1/PIVOT_FLOOR: singular at working
-    precision.  An exactly singular matrix or a non-finite solution
-    raises too.  ``rhs`` may be a vector of shape (n,) or a matrix of
-    shape (n, k) whose columns are k right-hand sides.
+    (``gesv``, through numpy's own gufunc, the one ``np.linalg.solve``
+    calls, so the solution has its bits), then one conditioning test.
+    After scaling each row of the system by the row's largest entry of
+    ``a``, a solution larger than the scaled right-hand side over
+    PIVOT_FLOOR proves a condition number above 1/PIVOT_FLOOR: singular
+    at working precision.  An exactly singular matrix, which the gufunc
+    answers with NaNs, or any other non-finite solution raises too.  The
+    solve and the test run with numpy's floating-point warnings off, so
+    a singular matrix raises and warns nothing.  ``rhs`` may be a vector
+    of shape (n,) or a matrix of shape (n, k) whose columns are k
+    right-hand sides.
 
     ``a`` may also be a stack of matrices (S, n, n), with ``rhs`` a stack
-    of vectors (S, n) or of matrices (S, n, k): one batched LAPACK call
-    solves them and each member passes the same test, so the solution
-    is that of solving the members one by one, and the first member
-    that fails raises what ``lu_solve`` raises for it alone.
+    of vectors (S, n) or of matrices (S, n, k): one call solves them and
+    each member passes the same test, so the solution is that of solving
+    the members one by one, and the first member that fails raises what
+    ``lu_solve`` raises for it alone.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        if a.ndim == 3 and a.shape[1] == a.shape[2]:
-            return _lu_solve_stack(a, rhs)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DomainError("lu_solve needs a square matrix")
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"matrix is singular: {exc}") from exc
-    # np.maximum.reduce: the value of abs(x).max(), NaN included, without
-    # the method dispatch
-    size = _maxreduce(np.absolute(x), None)
-    # rhs.T puts the row index of a matrix right-hand side last, where
-    # the row maxima broadcast; a vector passes as itself
-    scaled_rhs = _maxreduce(np.absolute(rhs.T) / _maxreduce(np.absolute(a), 1), None)
-    if not size < np.inf or size * PIVOT_FLOOR > scaled_rhs:
-        raise SingularJacobian(
-            f"solution of size {size:.3e} against a row-scaled right-hand "
-            f"side of {scaled_rhs:.3e}: condition number above {1 / PIVOT_FLOOR:.0e}")
-    return x
-
-
-def _lu_solve_stack(a, rhs):
-    """``lu_solve`` on a stack of matrices (S, n, n): one batched solve,
-    then the row-scaled test of each member, computed as for the member
-    alone.  When a member is exactly singular or fails the test, the
-    members are solved one by one, so the first that fails raises."""
-    vector = rhs.ndim == 2
-    try:
-        x = np.linalg.solve(a, rhs[..., None] if vector else rhs)
-    except np.linalg.LinAlgError:
-        x = None
-    else:
-        if vector:
-            x = x[..., 0]
-        size = _maxreduce(np.absolute(x.reshape(len(x), -1)), 1)
-        rows = _maxreduce(np.absolute(a), 2)
-        scaled = np.absolute(rhs) / (rows if vector else rows[..., None])
-        scaled_rhs = _maxreduce(scaled.reshape(len(x), -1), 1)
-        if np.all(size < np.inf) and not np.any(size * PIVOT_FLOOR > scaled_rhs):
-            return x
-    return np.stack([lu_solve(m, r) for m, r in zip(a, rhs)])
+    vector = rhs.ndim == a.ndim - 1
+    # the test's reductions: a member's every entry
+    axes = None if a.ndim == 2 else tuple(range(1, rhs.ndim))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        x = (_gesv1 if vector else _gesv)(a, rhs)
+        # np.maximum.reduce: the value of abs(x).max(), NaN included,
+        # without the method dispatch
+        size = _maxreduce(np.absolute(x), axes)
+        rows = _maxreduce(np.absolute(a), -1)
+        scaled_rhs = _maxreduce(np.absolute(rhs) / (rows if vector else rows[..., None]),
+                                axes)
+        # a NaN size fails; one numpy bool for a single matrix
+        passed = (size < np.inf) & ~(size * PIVOT_FLOOR > scaled_rhs)
+    if passed.all() if a.ndim == 3 else passed:
+        return x
+    if a.ndim == 3:
+        # solved one by one, the first member that fails raises
+        return np.stack([lu_solve(m, r) for m, r in zip(a, rhs)])
+    if np.isnan(x).all() and np.isfinite(a).all() and np.isfinite(rhs).all():
+        # gesv found an exactly zero pivot
+        raise SingularJacobian("matrix is singular: Singular matrix")
+    raise SingularJacobian(
+        f"solution of size {size:.3e} against a row-scaled right-hand "
+        f"side of {scaled_rhs:.3e}: condition number above {1 / PIVOT_FLOOR:.0e}")
 
 
 def is_regular(a):
@@ -396,24 +394,42 @@ def is_regular(a):
 
 def _rounding_floor(jac, x):
     """A few times the rounding level of a residual with Jacobian ``jac``
-    near ``x``; no tolerance below it can be met."""
-    return 4.0 * EPS * float(abs(jac).sum(axis=1).max()) * max(1.0, float(abs(x).max()))
+    near ``x``, one per member of a stack; no tolerance below it can be
+    met."""
+    return (4.0 * EPS * _maxreduce(np.absolute(jac).sum(axis=-1), -1)
+            * np.maximum(1.0, _maxreduce(np.absolute(x), -1)))
 
 
 def newton_solve(f, x0, *, tol: float | None = None,
-                 jacobian: Callable | None = None, tol_scale: float = 1.0):
-    """Solve ``f(x) = 0`` from ``x0``; returns the root.
+                 jacobian: Callable | None = None, tol_scale: float = 1.0, args=()):
+    """Solve ``f(x, *args) = 0`` from ``x0``; returns the root.
 
-    The Jacobian is the caller's analytic ``jacobian`` when given, else
-    central differences; it is always called at the point of the last
-    residual evaluation.  Iteration stops once the largest residual
-    component is at most the tolerance times ``tol_scale``, the
-    residual's natural size.  With ``tol`` None, the default, the
-    tolerance is NEWTON_TOL, floored at the residual's rounding level
-    ``4 eps ||J||_inf max(1, ||x||_inf)`` with J the last Newton matrix,
-    which long integrations reach as |x| grows; the floor is only
-    evaluated when an iterate misses the plain tolerance.  A numeric
-    ``tol`` is taken literally.
+    The Jacobian is the caller's analytic ``jacobian(x, *args)`` when
+    given, else central differences; it gets the very iterate object of
+    the last residual evaluation (in a stack, the rows of it that are
+    still unconverged), so it may reuse that evaluation's work.
+    Iteration stops once the largest residual component is at most the
+    tolerance times ``tol_scale``, the residual's natural size.  With
+    ``tol`` None, the default, the tolerance is NEWTON_TOL, floored at
+    the residual's rounding level ``4 eps ||J||_inf max(1, ||x||_inf)``
+    with J the last Newton matrix, which long integrations reach as |x|
+    grows; the floor is only evaluated after an iterate that misses the
+    plain tolerance.  A numeric ``tol`` is taken literally.
+
+    ``x0`` may also be a stack of starting points (S, n), with every
+    array of ``args`` stacked on the same leading axis: S independent
+    solves, run as one.  Each member keeps its own floored tolerance and
+    stops when it converges, and each iteration evaluates ``f`` and
+    ``jacobian`` once, and runs one stacked ``lu_solve``, at the members
+    that have not converged, stacked in member order with their rows of
+    ``args``; the rounding floor is evaluated once for them all.  So
+    every member takes the steps, and has the bits, of its solve alone,
+    and no member is evaluated past its convergence.  Without
+    ``jacobian``, each member's differences are taken at it alone, with
+    ``f`` called on single points.  The stack raises as soon as a member
+    fails, with the error of the first member that fails in that
+    iteration; a caller that needs the failures in member order
+    solves the members one by one.
 
     Raises EvaluationError on a non-finite residual, NoConvergence after
     NEWTON_MAX_ITER iterations and SingularJacobian when a linear solve
@@ -421,33 +437,73 @@ def newton_solve(f, x0, *, tol: float | None = None,
     """
     floored = tol is None
     tol = (NEWTON_TOL if floored else tol) * tol_scale
-    limit = tol
-    x = _asvec(x0).copy()
-    r = _asvec(f(x))
+    x = np.array(x0, dtype=float, ndmin=1)
+    # the iterates of the unconverged members, as f sees them, and their
+    # rows of x; a single point is one member, its own iterate, with its
+    # residual size and limit plain floats
+    u = x
+    rows = None
+    if x.ndim > 1:
+        rows = np.arange(len(x))
+        args = tuple(np.asarray(a) for a in args)
+    r = _asvec(f(u, *args))
     best = _residual_size(r)
-    for _ in range(NEWTON_MAX_ITER):
-        if best <= limit:
+    limit = tol if rows is None else np.full(len(x), tol)
+    for it in range(NEWTON_MAX_ITER + 1):
+        done = best <= limit
+        if rows is None:
+            if done:
+                return u
+        elif done.all():
+            x[rows] = u
             return x
-        jac = jacobian(x) if jacobian is not None else fd_jacobian(f, x)
-        x = x - lu_solve(jac, r)
-        r = _asvec(f(x))
+        if it == NEWTON_MAX_ITER:
+            stalled = best if rows is None else float(best[~done][0])
+            raise NoConvergence(
+                f"newton_solve stalled at residual {stalled:.3e} after "
+                f"{NEWTON_MAX_ITER} iterations",
+                residual=stalled,
+                iterations=NEWTON_MAX_ITER,
+            )
+        if rows is not None and done.any():  # drop the members that converged
+            x[rows[done]] = u[done]
+            keep = ~done
+            rows, u, r, limit = rows[keep], u[keep], r[keep], limit[keep]
+            args = tuple(a[keep] for a in args)
+        if jacobian is not None:
+            jac = jacobian(u, *args)
+        elif rows is None:
+            jac = fd_jacobian(_with_args(f, args), u)
+        else:
+            jac = np.stack([fd_jacobian(_with_args(f, a), p) for p, *a in zip(u, *args)])
+        u = u - lu_solve(jac, r)
+        r = _asvec(f(u, *args))
         best = _residual_size(r)
-        if floored and best > tol:
-            limit = max(tol, _rounding_floor(jac, x))
-    if best <= limit:
-        return x
-    raise NoConvergence(
-        f"newton_solve stalled at residual {best:.3e} after {NEWTON_MAX_ITER} iterations",
-        residual=best,
-        iterations=NEWTON_MAX_ITER,
-    )
+        if floored:
+            high = best > tol
+            if rows is None:
+                if high:
+                    limit = max(tol, float(_rounding_floor(jac, u)))
+            elif high.any():
+                limit = np.where(high, np.maximum(_rounding_floor(jac, u), tol), limit)
+
+
+def _with_args(f, args):
+    """``f`` with its trailing arguments bound."""
+    return (lambda z: f(z, *args)) if args else f
 
 
 def _residual_size(r):
-    """Largest residual component; NaN or inf there means a non-finite
-    entry, so the one reduction is also the finiteness check."""
-    size = float(_maxreduce(np.absolute(r), None))
-    if not size < np.inf:
+    """Largest residual component: a float for a single point, one per
+    member for a stack.  NaN or inf there means a non-finite entry, so
+    the one reduction is also the finiteness check."""
+    if r.ndim == 1:
+        size = float(_maxreduce(np.absolute(r), None))
+        finite = size < np.inf
+    else:
+        size = _maxreduce(np.absolute(r), -1)
+        finite = (size < np.inf).all()
+    if not finite:
         raise EvaluationError("non-finite value encountered in newton_solve residual")
     return size
 

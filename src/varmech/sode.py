@@ -119,10 +119,19 @@ class ImplicitSOdE:
     def solve_last(self, q0, q1, guess, *, tol: float | None = None):
         """The last slot solving phi(q0, q1, .) = 0, by Newton from
         ``guess`` with ``C`` as its Jacobian; ``tol`` is the Newton
-        tolerance of ``numkit.newton_solve``.  q0 and q1 are single 1-D
-        points."""
-        return numkit.newton_solve(lambda q2: self(q0, q1, q2), guess, tol=tol,
-                                   jacobian=lambda q2: self.C(q0, q1, q2))
+        tolerance of ``numkit.newton_solve``.
+
+        q0, q1 and ``guess`` are single 1-D points, or triples stacked on
+        a leading axis (S, n): one stacked ``numkit.newton_solve``, whose
+        members each get the root and the bits of their own solve, and
+        which raises as soon as one of them fails.  Each iteration
+        evaluates phi and ``c`` at the unconverged members only, so an
+        unmarked ``phi`` or ``c``, lifted point by point by
+        ``numkit.pointwise``, is called in iteration order, not in point
+        order."""
+        return numkit.newton_solve(
+            lambda q2, a, b: self(a, b, q2), guess, tol=tol, args=(q0, q1),
+            jacobian=None if self.c is None else lambda q2, a, b: self.C(a, b, q2))
 
     def is_regular(self, q0, q1, q2):
         """Whether C is invertible at the triple, by ``numkit.is_regular``:
@@ -142,7 +151,9 @@ def implicit_step(eq: ImplicitSOdE, q0, q1, *, tol: float | None = None):
 
     The starting point is the linear predictor 2 q1 - q0, which selects
     the solution branch connected to uniform motion.  ``tol`` is the
-    Newton tolerance of ``numkit.newton_solve``.
+    Newton tolerance of ``numkit.newton_solve``.  Pairs stacked on a
+    leading axis (S, n) are solved as one stack, each with the bits of
+    its own step.
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
@@ -173,10 +184,13 @@ def tangent_basis(eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
 
 def explicit_to_implicit(eq: ExplicitSOdE) -> ImplicitSOdE:
     """Rewrite q2 = gamma(q0, q1) as phi = q2 - gamma(q0, q1) = 0; the
-    last-slot Jacobian is the identity, supplied analytically.  ``phi``
-    is complex-safe when ``gamma`` is."""
+    last-slot Jacobian is the identity, supplied analytically, one per
+    triple of the leading axes.  ``phi`` is complex-safe when ``gamma``
+    is; ``c`` always is."""
+    n = eq.dim
     return ImplicitSOdE(
-        dim=eq.dim,
+        dim=n,
         phi=numkit.complex_safe(lambda q0, q1, q2: q2 - eq(q0, q1), eq.gamma),
-        c=lambda q0, q1, q2: np.eye(eq.dim),
+        c=numkit.complex_safe(
+            lambda q0, q1, q2: np.broadcast_to(np.eye(n), np.shape(q2)[:-1] + (n, n))),
     )

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from varmech import helmholtz as hz
 from varmech import numkit, systems
-from varmech.errors import DomainError, EvaluationError, SingularJacobian
+from varmech.errors import DomainError, EvaluationError, NoConvergence, SingularJacobian
 from varmech.lagrangian import DiscreteLagrangian, lagrangian_two_form
 from varmech.nonholonomic import rule_from_spec
 from varmech.sode import ExplicitSOdE, ImplicitSOdE, explicit_to_implicit, implicit_step
@@ -1174,6 +1174,43 @@ def test_singular_c_in_a_later_block_of_dhc_implicit_names_the_first_bad_point(m
     assert str(batched.value) == str(reference.value)
     # without the two singular samples the check passes
     assert hz.check_dhc_implicit(fiber, eq, samples[:chunk + 1]).verdict
+
+
+@pytest.mark.parametrize("singular, stuck, error, message", [
+    (5, 9, SingularJacobian,
+     "dhc-implicit at point [1.05, 0.525]: matrix is singular: Singular matrix"),
+    (9, 5, NoConvergence,
+     "dhc-implicit at point [-1.0, 0.8500000000000001]: newton_solve stalled at "
+     "residual 1.045e+00 after 50 iterations"),
+])
+def test_dhc_implicit_block_newton_raises_for_the_first_failing_point(
+        singular, stuck, error, message):
+    # one block of 64 samples of q2^2 = q0: at member `singular` the
+    # predictor is 0, where C = 2 q2 is exactly singular; at member
+    # `stuck` q0 = -1 and Newton wanders.  The messages were recorded
+    # when each point was solved alone.
+    q0 = 1.0 + 0.01 * np.arange(hz.SAMPLE_CHUNK)
+    q1 = 0.8 + 0.01 * np.arange(hz.SAMPLE_CHUNK)
+    q1[singular] = q0[singular] / 2
+    q0[stuck] = -1.0
+    eq = ImplicitSOdE(dim=1, phi=numkit.complex_safe(lambda a, b, c: c * c - a),
+                      c=numkit.complex_safe(lambda a, b, c: 2.0 * c[..., None]))
+    fiber = hz.FiberMap(dim=1, func=numkit.complex_safe(lambda a, b: (b - a) / H))
+    samples = np.stack([q0, q1], axis=1)
+    with pytest.raises(error) as raised:
+        hz.check_dhc_implicit(fiber, eq, samples)
+    assert str(raised.value) == message
+    # the block's own solve fails too, which sends it point by point
+    with pytest.raises((SingularJacobian, NoConvergence)):
+        implicit_step(eq, q0[:, None], q1[:, None])
+    # without the two, the block solves, each point with its own bits
+    keep = np.ones(len(samples), bool)
+    keep[[singular, stuck]] = False
+    q2 = implicit_step(eq, q0[keep, None], q1[keep, None])
+    assert_allclose(q2[:, 0], np.sqrt(q0[keep]), rtol=1e-12)
+    for a, b, c in zip(q0[keep], q1[keep], q2):
+        assert implicit_step(eq, np.array([a]), np.array([b])).tobytes() == c.tobytes()
+    hz.check_dhc_implicit(fiber, eq, samples[keep])
 
 
 def _failing_at(bad, error):

@@ -1,5 +1,7 @@
 """Kernel routines: differences, Newton, LU, RK4, quadrature, order fits."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -414,6 +416,41 @@ def test_lu_solve_rectangular_matrix_rhs():
     assert np.array_equal(x, np.linalg.solve(a, rhs))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lu_solve_is_numpys_solve_bit_for_bit(n):
+    # the gesv gufunc is what np.linalg.solve calls: the same bits for a
+    # vector and a matrix right-hand side, alone and on a stack
+    rng = np.random.default_rng(70 + n)
+    a = rng.normal(size=(5, n, n)) + n * np.eye(n)
+    vectors, matrices = rng.normal(size=(5, n)), rng.normal(size=(5, n, 3))
+    for rhs in (vectors, matrices):
+        stacked = numkit.lu_solve(a, rhs)
+        for m, r, x in zip(a, rhs, stacked):
+            expected = np.linalg.solve(m, r).tobytes()
+            assert numkit.lu_solve(m, r).tobytes() == expected
+            assert x.tobytes() == expected
+    assert (numkit.lu_solve(a, vectors).tobytes()
+            == np.linalg.solve(a, vectors[..., None])[..., 0].tobytes())
+    assert numkit.lu_solve(a, matrices).tobytes() == np.linalg.solve(a, matrices).tobytes()
+
+
+@pytest.mark.parametrize("a", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [1.0, 3.0]]],
+                         ids=["exactly-singular", "zero-row"])
+def test_lu_solve_singular_raises_without_a_warning(a):
+    # gesv answers both with NaNs and a floating-point flag; lu_solve
+    # turns them into SingularJacobian and lets no RuntimeWarning out,
+    # alone and as a member of a stack
+    a = np.array(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rhs in ([1.0, 1.0], np.eye(2)):
+            with pytest.raises(SingularJacobian, match="singular"):
+                numkit.lu_solve(a, rhs)
+        with pytest.raises(SingularJacobian, match="singular"):
+            numkit.lu_solve(np.stack([np.eye(2), a]), np.ones((2, 2)))
+        assert not numkit.is_regular(a)
+
+
 def test_march_wraps_numerical_failures_only():
     def step(q0, q1):
         if q1[0] >= 2.0:
@@ -560,6 +597,95 @@ def test_newton_no_real_root_raises():
 def test_newton_nonfinite_raises():
     with pytest.raises(EvaluationError):
         numkit.newton_solve(lambda x: np.array([np.nan]), np.array([1.0]))
+
+
+def _cubic_stack():
+    """x + a x^3 = b per coordinate, coupled by a shear, with the analytic
+    Jacobian; a and b ride along as stacked args."""
+    def f(x, a, b):
+        y = x + a * x * x * x - b
+        return np.stack([y[..., 0] + 0.5 * y[..., 1], y[..., 1]], axis=-1)
+
+    def jac(x, a, b):
+        d = 1.0 + 3.0 * a * x * x
+        out = np.zeros(x.shape + (2,))
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 1] = d[..., 0], 0.5 * d[..., 1], d[..., 1]
+        return out
+
+    return f, jac
+
+
+def test_newton_solve_on_a_stack_is_member_by_member():
+    f, jac = _cubic_stack()
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.0, 2.0, size=(9, 2))
+    b = rng.uniform(-2.0, 2.0, size=(9, 2))
+    x0 = rng.uniform(-1.0, 1.0, size=(9, 2))
+    a[2] = 0.0                      # linear: converges in one step
+    x0[4] = b[4] = 0.0              # at its root: converges in none
+    for jacobian in (jac, None):
+        roots = numkit.newton_solve(f, x0, jacobian=jacobian, args=(a, b))
+        assert roots.shape == (9, 2)
+        for i in range(9):
+            alone = numkit.newton_solve(f, x0[i], jacobian=jacobian, args=(a[i], b[i]))
+            assert alone.tobytes() == roots[i].tobytes()
+        assert np.max(np.abs(f(roots, a, b))) <= 1e-12
+    assert np.array_equal(numkit.newton_solve(f, x0[4:5], jacobian=jac,
+                                              args=(a[4:5], b[4:5])), x0[4:5])
+
+
+def test_newton_solve_on_a_stack_hands_the_jacobian_the_iterate():
+    # while no member has converged, the Jacobian gets the very iterate
+    # of the last residual; after that, the unconverged rows of it
+    f, jac = _cubic_stack()
+    a = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    b = np.ones((3, 2))
+    seen = {}
+
+    def residual(x, *args):
+        seen["x"] = x
+        return f(x, *args)
+
+    def jacobian(x, *args):
+        seen.setdefault("same", []).append((len(x), x is seen["x"]))
+        return jac(x, *args)
+
+    numkit.newton_solve(residual, np.zeros((3, 2)), jacobian=jacobian, args=(a, b))
+    sizes = [k for k, _ in seen["same"]]
+    assert sizes[:2] == [3, 2] and sizes == sorted(sizes, reverse=True)
+    assert [same for k, same in seen["same"]] == [k == prev for k, prev in
+                                                 zip(sizes, [3] + sizes)]
+
+
+def test_newton_solve_on_a_stack_floors_each_member_alone():
+    # x^2 = c at two scales: the large member's rounding floor, about
+    # 3e5, must not loosen the small member's tolerance
+    f = lambda x, c: x * x - c
+    jac = lambda x, c: 2.0 * x[..., None]
+    c = np.array([[2.0], [2e20]])
+    x0 = np.array([[1.0], [1e10]])
+    roots = numkit.newton_solve(f, x0, jacobian=jac, args=(c,))
+    for i in range(2):
+        alone = numkit.newton_solve(f, x0[i], jacobian=jac, args=(c[i],))
+        assert alone.tobytes() == roots[i].tobytes()
+    assert abs(roots[0, 0] ** 2 - 2.0) <= 1e-12
+
+
+def test_newton_solve_on_a_stack_raises_for_a_failing_member():
+    # x^2 + c = 0: member 1 has no real root and wanders
+    f = lambda x, c: x * x + c
+    jac = lambda x, c: 2.0 * x[..., None]
+    c = np.array([[-2.0], [1.0], [-3.0]])
+    x0 = np.full((3, 1), 0.7)
+    with pytest.raises(NoConvergence) as alone:
+        numkit.newton_solve(f, x0[1], jacobian=jac, args=(c[1],))
+    with pytest.raises(NoConvergence) as stacked:
+        numkit.newton_solve(f, x0, jacobian=jac, args=(c,))
+    assert str(stacked.value) == str(alone.value)
+    assert stacked.value.residual == alone.value.residual
+    c[2] = np.nan
+    with pytest.raises(EvaluationError, match="newton_solve residual"):
+        numkit.newton_solve(f, x0, jacobian=jac, args=(c,))
 
 
 def test_rk4_harmonic_orbit():

@@ -1,5 +1,7 @@
 """Explicit and implicit second-order difference equations."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -242,3 +244,133 @@ def test_tangent_basis_of_a_stack_raises_where_c_is_singular():
         sode.tangent_basis(eq, q0, q1, q1)
     a, b = sode.tangent_basis(eq, q0[[0, 2]], q1[[0, 2]], q1[[0, 2]])
     assert a.shape == (2, 2, 6)
+
+
+def _sheared_cubic(mark_phi, c_kind, log=None):
+    """phi = S (w + k w^3) - q1 / 4 with w = q2 - q1, k = x0 and the shear
+    S = [[1, 1/2], [0, 1]]: regular everywhere, linear where k = 0.
+    ``c_kind`` is "marked", "unmarked" or None (differences); with a
+    ``log``, the unmarked callables append (name, triple, q2) per call."""
+    def phi(q0, q1, q2):
+        if log is not None:
+            log.append(("phi", q0.tobytes() + q1.tobytes(), q2.tobytes()))
+        w = q2 - q1
+        y = w + q0[..., :1] * w * w * w - 0.25 * q1
+        return np.stack([y[..., 0] + 0.5 * y[..., 1], y[..., 1]], axis=-1)
+
+    def c(q0, q1, q2):
+        if log is not None:
+            log.append(("c", q0.tobytes() + q1.tobytes(), q2.tobytes()))
+        w = q2 - q1
+        d = 1.0 + 3.0 * q0[..., :1] * w * w
+        out = np.zeros(d.shape[:-1] + (2, 2), dtype=d.dtype)
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 1] = d[..., 0], 0.5 * d[..., 1], d[..., 1]
+        return out
+
+    if c_kind == "marked":
+        c = numkit.complex_safe(c)
+    return sode.ImplicitSOdE(dim=2, phi=numkit.complex_safe(phi) if mark_phi else phi,
+                             c=None if c_kind is None else c)
+
+
+def _block_of_triples():
+    """q0, q1 and guesses of 24 members: member 0 starts at its root (no
+    iteration), member 1 is linear (one), the others take several."""
+    rng = np.random.default_rng(17)
+    q0 = np.column_stack([rng.uniform(0.0, 2.0, 24), rng.uniform(-1.0, 1.0, 24)])
+    q1 = rng.uniform(-1.0, 1.0, size=(24, 2))
+    guess = q1 + rng.uniform(-0.8, 0.8, size=(24, 2))
+    q1[0] = 0.0
+    guess[0] = 0.0
+    q0[1, 0] = 0.0
+    return q0, q1, guess
+
+
+@pytest.mark.parametrize("c_kind", ["marked", "unmarked", None])
+@pytest.mark.parametrize("mark_phi", [True, False])
+def test_solve_last_on_a_block_matches_solo_solves(mark_phi, c_kind):
+    eq = _sheared_cubic(mark_phi, c_kind)
+    q0, q1, guess = _block_of_triples()
+    roots = eq.solve_last(q0, q1, guess)
+    assert roots.shape == (24, 2)
+    assert np.array_equal(roots[0], guess[0])
+    for i in range(24):
+        assert eq.solve_last(q0[i], q1[i], guess[i]).tobytes() == roots[i].tobytes()
+    assert np.max(np.abs(eq(q0, q1, roots))) <= 1e-12
+    steps = sode.implicit_step(eq, q0, q1)
+    for i in range(24):
+        assert sode.implicit_step(eq, q0[i], q1[i]).tobytes() == steps[i].tobytes()
+
+
+@pytest.mark.parametrize("c_kind", ["unmarked", None])
+def test_solve_last_on_a_block_evaluates_each_member_as_its_solo_solve(c_kind):
+    # an unmarked phi and c are called at each member's iterates and at
+    # nothing else: never at a member that has converged
+    block_log, solo_log = [], []
+    q0, q1, guess = _block_of_triples()
+    _sheared_cubic(False, c_kind, block_log).solve_last(q0, q1, guess)
+    solo = _sheared_cubic(False, c_kind, solo_log)
+    for i in range(24):
+        solo.solve_last(q0[i], q1[i], guess[i])
+
+    def by_member(log):
+        out = {}
+        for name, member, q2 in log:
+            out.setdefault(member, []).append((name, q2))
+        return out
+
+    assert by_member(block_log) == by_member(solo_log)
+    counts = {m: len(calls) for m, calls in by_member(block_log).items()}
+    assert min(counts.values()) == 1  # member 0: phi at its guess only
+    if c_kind is not None:
+        assert sum(name == "c" for name, _, _ in block_log) == sum(
+            name == "c" for name, _, _ in solo_log) > 24
+    # the block calls them in iteration order, not member order
+    assert block_log != solo_log
+
+
+def _pendulum_recurrence(c=True):
+    """exp(d) - 1 + h^2 sin(q1) = 0, d = q2 - 2 q1 + q0, with exp and sin
+    replaced by their Taylor polynomials (degrees 3 and 5), so every
+    value is IEEE arithmetic whose bits no libm decides.  The predictor
+    leaves a residual of about h^2, so every step takes Newton
+    iterations: three on average."""
+    h2 = 0.01
+
+    def phi(q0, q1, q2):
+        d = q2 - 2.0 * q1 + q0
+        s = q1 * q1
+        return d + d * d / 2.0 + d * d * d / 6.0 + h2 * q1 * (1.0 - s / 6.0 + s * s / 120.0)
+
+    def cmat(q0, q1, q2):
+        d = q2 - 2.0 * q1 + q0
+        return (1.0 + d + d * d / 2.0)[..., None]
+
+    return sode.ImplicitSOdE(dim=1, phi=numkit.complex_safe(phi),
+                             c=numkit.complex_safe(cmat) if c else None)
+
+
+@pytest.mark.parametrize("c, digest, last", [
+    (True, "73a4dbe57dc7462c74a3253a15cda81baffd2644aeb60d1290beaf43852933a8",
+     "-0x1.737aded378c67p+1"),
+    (False, "e186ae6add9e72ad22b1c565d1def31e2a6a991a548238916ef795df0f5dbf9a",
+     "-0x1.737aded378becp+1"),
+])
+def test_implicit_step_bits_on_a_run_that_iterates(c, digest, last):
+    # 200 steps of a recurrence whose every step iterates, with the
+    # analytic C and with differences; the digests were recorded before
+    # newton_solve took stacks, and pin the single-point path's bits
+    eq = _pendulum_recurrence(c)
+    points = numkit.march(lambda a, b: sode.implicit_step(eq, a, b),
+                          np.array([0.3]), np.array([0.5]), 200)
+    assert points[-1, 0].hex() == last
+    assert hashlib.sha256(points.tobytes()).hexdigest() == digest
+
+
+def test_explicit_to_implicit_c_is_a_marked_stacked_identity():
+    imp = sode.explicit_to_implicit(
+        sode.ExplicitSOdE(dim=3, gamma=numkit.complex_safe(lambda a, b: 2 * b - a)))
+    assert numkit.is_complex_safe(imp.c)
+    z = np.random.default_rng(8).uniform(-1, 1, size=(3, 4, 5, 3))
+    assert np.array_equal(imp.C(*z), np.broadcast_to(np.eye(3), (4, 5, 3, 3)))
+    assert np.array_equal(imp.C(*z[:, 0, 0]), np.eye(3))
