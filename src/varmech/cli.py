@@ -17,9 +17,14 @@ non-finite number is a configuration error.  Output files are written
 atomically (temp file plus rename) and a rerun with identical
 configuration produces byte-identical output.
 
-Exit codes: 0 success (check verdict pass), 1 configuration error,
+Exit codes: 0 success (check verdict pass), 1 configuration error or
+an output file that cannot be written (whatever the run's outcome),
 2 solver failure during a run, 3 check verdict fail (the report is
 still written).
+
+``main`` may be called many times in one process: the argument parser
+is built by the first call and reused; nothing else persists between
+calls.
 """
 
 from __future__ import annotations
@@ -178,17 +183,26 @@ def _resolve_rule(spec: str):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temp file and a rename.  An OSError (no such
+    directory, a directory at ``path``, no permission) becomes a
+    ConfigError naming ``path``; no temp file is left behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".varmech-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".varmech-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            # strerror, not str(exc), which names the random temp file
+            raise ConfigError(
+                f"cannot write output file {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -451,9 +465,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser, built by the first main call and reused by later ones;
+# parse_args keeps each call's state in the Namespace it returns.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    ns = _PARSER.parse_args(argv)
     try:
         cfg = load_config(ns)
         bundle = build_bundle(cfg)

@@ -6,10 +6,15 @@ contents, and stderr text are all observable in-process.
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import varmech
+import varmech.cli as cli
 from varmech.cli import main, render_csv
 from varmech.lagrangian import simulate as lagrangian_simulate
 from varmech.nonholonomic import dla_simulate, midpoint_energy, rule_from_spec
@@ -395,3 +400,81 @@ def test_no_temp_files_left_behind(tmp_path):
                  "--out", str(out)]) == 0
     leftovers = [p for p in tmp_path.iterdir() if p.name != "o.csv"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("args, code", [
+    (["simulate", "--system", "harmonic-exact", "--steps", "3"], 0),
+    (["check", "isotropy", "--system", "harmonic-exact", "--points", "4"], 0),
+    (["check", "isotropy", "--system", "rolling-disk", "--fiber", "turn-ratio",
+      "--points", "4"], 3),
+    (["simulate", "--system", "exp-recurrence", "--tol", "1e-17"], 2),
+])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_is_a_config_error(args, code, target, tmp_path, capsys):
+    """A write failure exits 1 with one config-error line, whatever the
+    run's outcome (shown by the run's exit code with a writable path),
+    and leaves no temp file."""
+    out = tmp_path / "missing" / "x.out" if target == "missing-dir" else tmp_path / "dir"
+    (tmp_path / "dir").mkdir()
+    assert main(args + ["--out", str(tmp_path / "ok.out")]) == code
+    capsys.readouterr()
+    assert main(args + ["--out", str(out)]) == 1
+    reason = "No such file or directory" if target == "missing-dir" else "Is a directory"
+    assert capsys.readouterr() == (
+        "", f"config error: cannot write output file {out}: {reason}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "ok.out"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+# One process's sequence of calls: a passing check, a simulation to
+# stdout, a usage error, --help, a config error, a failing verdict, a
+# solver failure, and the first call again.
+SEQUENCE = [
+    ["check", "isotropy", "--system", "harmonic-exact", "--points", "8",
+     "--out", "report.json"],
+    ["simulate", "--system", "harmonic-exact", "--steps", "5"],
+    ["check", "bogus-check", "--system", "toy-free-particle"],
+    ["check", "--help"],
+    ["simulate", "--system", "harmonic-exact", "--steps", "-1", "--out", "run.csv"],
+    ["check", "isotropy", "--system", "rolling-disk", "--fiber", "turn-ratio",
+     "--points", "8", "--out", "report.json"],
+    ["simulate", "--system", "exp-recurrence", "--tol", "1e-17", "--out", "run.csv"],
+]
+
+
+def _directory_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    """Calls through one process's main give the stdout, stderr, exit
+    code and files of the same argv run as ``python -m varmech`` in a
+    fresh process, and the parser is built once for all of them."""
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(varmech.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = []
+    for i, argv in enumerate(SEQUENCE):
+        cwd = tmp_path / f"fresh{i}"
+        cwd.mkdir()
+        done = subprocess.run([sys.executable, "-m", "varmech"] + argv, cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=120)
+        fresh.append((done.stdout, done.stderr, done.returncode, _directory_bytes(cwd)))
+
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    for i, argv in enumerate(SEQUENCE + SEQUENCE[:1]):
+        cwd = tmp_path / f"in-process{i}"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (out, err, code, _directory_bytes(cwd)) == fresh[i % len(SEQUENCE)], argv
+    assert [code for _, _, code, _ in fresh] == [0, 0, 1, 0, 1, 3, 2]
+    assert len(builds) == 1
