@@ -32,8 +32,9 @@ The sampled verdicts (``check_dhc_explicit``, ``check_dhc_implicit``,
 ``check_isotropy``, ``check_chc``, ``check_ihc``, ``check_two_form``,
 ``check_functional``) each supply one residual function of a block of
 samples to one sample loop, ``_sampled_check``, which walks the samples
-in blocks of at most SAMPLE_CHUNK points, keeps the worst residual and
-point per condition and applies the scaled tolerance.  Every residual
+in blocks of at most SAMPLE_CHUNK points (a block that raises is split
+in halves until the failing point is found), keeps the worst residual
+and point per condition and applies the scaled tolerance.  Every residual
 function evaluates its block at once, whatever its callables: the fiber
 maps, recurrences, implicit equations and two-form fields take points
 stacked on a leading axis through ``numkit.pointwise``, which hands the
@@ -43,8 +44,8 @@ kernel differentiates an unmarked callable one point at a time.  The
 Newton solves, of the third member of dhc-implicit's triples and of
 ihc's accelerations, are both ``sode.ImplicitSOdE.solve_last``, run on
 the whole block as one stacked ``numkit.newton_solve``: each point gets
-the bits of its own solve, and a failing point fails the block, which
-is then redone one point at a time.
+the bits of its own solve, and a failing point fails the block, whose
+halves are then evaluated in turn, first half first.
 
 All residuals here are exact zeros for variational data, so any value
 above the derivatives' noise floor is meaningful.  The first
@@ -75,11 +76,14 @@ from .sode import ExplicitSOdE, ImplicitSOdE, implicit_step, tangent_basis
 # Most sample points a check evaluates at once, which bounds the
 # temporaries of a block: the stacked complex-step points and the
 # values and Jacobians of its embeddings.  The largest are the two-form
-# check's: an m-by-m field at m complex points per sample, 0.5 MB of
-# values for 64 samples of the extended disk (m = 8).  Blocks of 256
-# made a verdict-sweep round a few percent faster but raised its peak
-# RSS by 2 MiB (two shared x86-64 cores, numpy 2.4).
-SAMPLE_CHUNK = 64
+# check's: an m-by-m field at m complex points per sample, 1 MiB of
+# values for 128 samples of the extended disk (m = 8).  Against blocks
+# of 64, a fresh process's peak RSS for `check two-form --system
+# extended-disk` rose 33.0 -> 33.1 MiB at 128 points and 33.0 -> 33.9
+# MiB at 600 (numpy 2.4, x86-64), and each block's fixed cost (the
+# stacked Newton's iterations, one stencil-kernel call, the
+# embedding's ufunc calls) is paid half as often.
+SAMPLE_CHUNK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +659,13 @@ def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float
     size raises EvaluationError naming the check, the condition and the
     point, since it could neither pass nor fail.  The first bad point
     in sample order decides the error, as in a point-by-point loop: a
-    block whose evaluation raises is evaluated again one point at a
-    time, and a NumericsError of one point's evaluation gets the check
-    and the point added to its message; any other exception, such as a
-    bug in a user callable, surfaces as itself.
+    block whose evaluation raises is split in halves, first half first,
+    down to single points, and a NumericsError of one point's
+    evaluation gets the check and the point added to its message; any
+    other exception, such as a bug in a user callable, surfaces as
+    itself.  A block that evaluates is used whole, so a check with one
+    bad point costs about 2 log2(SAMPLE_CHUNK) extra block evaluations
+    rather than one per point of its block.
     """
     if len(points) == 0 or np.size(points[0]) == 0:  # atleast_2d([]) is one empty point
         raise DomainError(f"{check} needs at least one sample point")
@@ -694,27 +701,28 @@ def _sampled_check(check: str, names, residuals_at: Callable, points, tol: float
 
 def _blocks(check: str, residuals_at: Callable, points):
     """(block, residuals_at(block)) over ``points`` in blocks of at most
-    SAMPLE_CHUNK; a block that raises is redone in blocks of one, so the
-    first point that raises, or that has a non-finite residual, in
-    sample order decides the error.  A NumericsError raised at one
-    point names the check and the point."""
+    SAMPLE_CHUNK, in sample order.  A block that raises is split into
+    halves, the first half evaluated first, and so on down to single
+    points, so the good parts of a block are kept and the first point
+    that raises, or that has a non-finite residual, in sample order
+    decides the error.  A NumericsError raised at one point names the
+    check and the point; any other exception surfaces as itself."""
     for start in range(0, len(points), SAMPLE_CHUNK):
-        block = points[start:start + SAMPLE_CHUNK]
-        if len(block) > 1:
+        pending = [points[start:start + SAMPLE_CHUNK]]
+        while pending:
+            block = pending.pop()
             try:
                 result = residuals_at(block)
-            except Exception:
-                pass
+            except Exception as exc:
+                if len(block) == 1:
+                    if isinstance(exc, NumericsError):
+                        exc.args = (f"{check} at point {_coords(block[0])}: {exc}",)
+                    raise
             else:
                 yield block, result
                 continue
-        for i in range(len(block)):
-            try:
-                result = residuals_at(block[i:i + 1])
-            except NumericsError as exc:
-                exc.args = (f"{check} at point {_coords(block[i])}: {exc}",)
-                raise
-            yield block[i:i + 1], result
+            half = len(block) // 2
+            pending += [block[half:], block[:half]]
 
 
 def _require_finite(check, condition, value, z):

@@ -1112,6 +1112,61 @@ def test_nan_in_a_later_block_of_a_batched_check_raises_as_point_by_point(monkey
     assert str(batched.value) == str(reference.value)
 
 
+def _embedding_failing_at(bad, kind, calls):
+    """A marked embedding of R^2 whose only pullback entry is 6 x0; at
+    the sample ``bad`` it raises a NumericsError, raises a user bug or
+    returns NaN, after which its Jacobian there is NaN.  Each call
+    appends the number of points it got to ``calls``: two complex-step
+    points per sample."""
+    def embed(z):
+        calls.append(len(z))
+        at_bad = np.all(z.real == bad, axis=-1)
+        if kind == "numerics" and at_bad.any():
+            raise EvaluationError("embedding failed")
+        if kind == "bug" and at_bad.any():
+            raise ValueError("user bug")
+        out = np.stack([z[..., 0], 0.0 * z[..., 1], z[..., 1], 3.0 * z[..., 0] ** 2],
+                       axis=-1)
+        out[at_bad] = np.nan
+        return out
+    return numkit.complex_safe(embed)
+
+
+def test_a_bad_last_sample_of_a_block_costs_a_bisection_of_it():
+    # the block, then both halves of every halving that holds the bad
+    # sample: at most 2 log2(SAMPLE_CHUNK) + 1 evaluations, where a redo
+    # one point at a time takes SAMPLE_CHUNK + 1
+    chunk = hz.SAMPLE_CHUNK
+    samples = hz.sample_box(2, chunk, box=0.5, seed=2)
+    calls = []
+    embed = _embedding_failing_at(samples[-1], "numerics", calls)
+    message = re.escape(f"isotropy at point {samples[-1].tolist()}: embedding failed")
+    with pytest.raises(EvaluationError, match=message):
+        hz.check_isotropy(embed, samples)
+    assert len(calls) <= 2 * np.log2(chunk) + 1
+    assert calls[0] == 2 * chunk and calls[-1] == 2
+
+
+@pytest.mark.parametrize("kind", ["numerics", "bug", "nan"])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "across"])
+def test_a_bad_sample_raises_as_point_by_point(monkeypatch, kind, where):
+    chunk = hz.SAMPLE_CHUNK
+    count = chunk + 3
+    at = {"first": 0, "middle": chunk // 2, "last": count - 1, "across": chunk}[where]
+    samples = hz.sample_box(2, count, box=0.5, seed=2)
+    embed = _embedding_failing_at(samples[at], kind, [])
+    run = lambda: hz.check_isotropy(embed, samples)
+    with pytest.raises(Exception) as batched:
+        run()
+    with pytest.raises(Exception) as reference:
+        _point_by_point(monkeypatch, run)
+    assert type(batched.value) is type(reference.value)
+    assert type(batched.value) is (ValueError if kind == "bug" else EvaluationError)
+    assert str(batched.value) == str(reference.value)
+    if kind != "bug":
+        assert str(samples[at].tolist()) in str(batched.value)
+
+
 def test_marked_fiber_map_that_ignores_the_leading_axis_raises():
     # written for one point: q1[0] is the first stacked point, not x1
     fiber = hz.FiberMap(dim=1, func=numkit.complex_safe(
