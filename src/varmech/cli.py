@@ -476,11 +476,14 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     ns = _PARSER.parse_args(argv)
     try:
-        cfg = load_config(ns)
-        bundle = build_bundle(cfg)
-        if ns.command == "simulate":
-            return cmd_simulate(cfg, bundle)
-        return cmd_check(cfg, ns.which, bundle)
+        # numpy's floating-point warnings off: a non-finite value is
+        # reported by the NumericsError it raises, in one line
+        with np.errstate(all="ignore"):
+            cfg = load_config(ns)
+            bundle = build_bundle(cfg)
+            if ns.command == "simulate":
+                return cmd_simulate(cfg, bundle)
+            return cmd_check(cfg, ns.which, bundle)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -47,8 +47,11 @@ the whole block as one stacked ``numkit.newton_solve``: each point gets
 the bits of its own solve, and a failing point fails the block, whose
 halves are then evaluated in turn, first half first.
 
-All residuals here are exact zeros for variational data, so any value
-above the derivatives' noise floor is meaningful.  The first
+Every slot Jacobian here, of F, gamma, phi and the Legendre legs
+(``FiberMap.legs``), and the time derivatives of chc and ihc, come from
+``numkit.slot_jacobians``.  All residuals here are exact zeros for
+variational data, so any value above the derivatives' noise floor is
+meaningful.  The first
 derivatives of marked callables (as every catalogue fiber map,
 recurrence and force law is) come from the complex step and are exact
 to rounding, so their residuals sit at rounding level (about 1e-15
@@ -187,18 +190,16 @@ class FiberMap:
         return numkit.pointwise(self.func, (q0, q1), (self.dim,), "fiber map")
 
     def base(self, q0, q1):
-        return np.asarray(q0 if self.kind == "minus" else q1, dtype=float)
+        """The base point of the covector at (q0, q1), in its own dtype."""
+        return np.asarray(q0 if self.kind == "minus" else q1)
 
-    def slot_jacobians(self, q0, q1):
-        """(dF/dq0, dF/dq1) by order-4 differences, or by the complex
-        step when ``func`` is complex-safe; stacked points (S, n) give
-        stacks of Jacobians."""
-        n = self.dim
-        z = np.concatenate([np.asarray(q0, dtype=float), np.asarray(q1, dtype=float)],
-                           axis=-1)
-        j = numkit.fd_jacobian4(
-            numkit.complex_safe(lambda zz: self(zz[..., :n], zz[..., n:]), self.func), z)
-        return j[..., :n], j[..., n:]
+    def legs(self, q0, q1, q2):
+        """Both Legendre legs over a triple, (base, F) at (q0, q1) and at
+        (q1, q2), joined on the last axis: (q0, F01, q1, F12) for a minus
+        map, (q1, F01, q2, F12) for a plus map.  Triples stacked on
+        leading axes give stacks; complex points pass through."""
+        return np.concatenate([self.base(q0, q1), self(q0, q1),
+                               self.base(q1, q2), self(q1, q2)], axis=-1)
 
     def local_diffeo_residual(self, q0, q1):
         """Smallest singular value of the fiber-slot Jacobian.
@@ -207,7 +208,7 @@ class FiberMap:
         exactly when this is nonzero: the free slot is q1 for minus
         maps and q0 for plus maps.
         """
-        j0, j1 = self.slot_jacobians(q0, q1)
+        j0, j1 = numkit.slot_jacobians(self, (q0, q1), self.func)
         block = j1 if self.kind == "minus" else j0
         return float(np.linalg.svd(block, compute_uv=False)[-1])
 
@@ -263,34 +264,17 @@ def _dhc_explicit(fiber: FiberMap, eq: ExplicitSOdE, q0, q1):
     (q0, q1); stacked pairs (S, n) give stacks of both."""
     if fiber.kind != "minus":
         raise DomainError("dhc_explicit needs a minus-type fiber map")
-    n = fiber.dim
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
-    m1, m2 = fiber.slot_jacobians(q0, q1)
+    m1, m2 = numkit.slot_jacobians(fiber, (q0, q1), fiber.func)
     q2 = eq(q0, q1)
-    _, n2 = fiber.slot_jacobians(q1, q2)
-    z = np.concatenate([q0, q1], axis=-1)
-    jg = numkit.fd_jacobian4(
-        numkit.complex_safe(lambda zz: eq(zz[..., :n], zz[..., n:]), eq.gamma), z)
-    g0, g1 = jg[..., :n], jg[..., n:]
+    _, n2 = numkit.slot_jacobians(fiber, (q1, q2), fiber.func)
+    g0, g1 = numkit.slot_jacobians(eq, (q0, q1), eq.gamma)
     r1 = numkit.antisymmetrize(m1)
     r2 = m2 + _transpose(n2 @ g0)
     r3 = numkit.antisymmetrize(n2 @ g1)
     size = np.maximum(np.abs(m1).max(axis=(-2, -1)), np.abs(m2).max(axis=(-2, -1)))
     return (r1, r2, r3), size
-
-
-def _triple_embedding(fiber: FiberMap, q0, q1, q2):
-    """Both Legendre legs over a triple, as a map of (q0, q1, q2)."""
-    n = fiber.dim
-
-    def embed(z):
-        a, b, c = z[..., :n], z[..., n : 2 * n], z[..., 2 * n :]
-        return np.concatenate([a, fiber(a, b), b, fiber(b, c)], axis=-1)
-
-    z = np.concatenate([np.asarray(q0, dtype=float), np.asarray(q1, dtype=float),
-                        np.asarray(q2, dtype=float)], axis=-1)
-    return numkit.complex_safe(embed, fiber.func), z
 
 
 def dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
@@ -312,14 +296,15 @@ def dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-
 
 def _dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e-8):
     """``dhc_implicit``'s residuals and the largest entry of dF at
-    (q0, q1), read off the fiber block of the triple Jacobian; stacked
-    triples (S, n) give stacks of both."""
+    (q0, q1), read off the fiber block of the Jacobian of the Legendre
+    legs (``FiberMap.legs``) in the triple; stacked triples (S, n) give
+    stacks of both."""
     if fiber.kind != "minus":
         raise DomainError("dhc_implicit needs a minus-type fiber map")
     n = fiber.dim
     a, b = tangent_basis(eq, q0, q1, q2, tol)
-    embed, z = _triple_embedding(fiber, q0, q1, q2)
-    jac = numkit.fd_jacobian4(embed, z)
+    jac = np.concatenate(numkit.slot_jacobians(fiber.legs, (q0, q1, q2), fiber.func),
+                         axis=-1)
     w = _transpose(jac) @ pair_omega_matrix(n) @ jac
     at, bt = _transpose(a), _transpose(b)
     r1 = 0.5 * (a @ w @ at)
@@ -335,23 +320,14 @@ def _dhc_implicit(fiber: FiberMap, eq: ImplicitSOdE, q0, q1, q2, tol: float = 1e
 def gamma_embedding(fiber: FiberMap, eq: ExplicitSOdE) -> Callable:
     """The pair embedding into two cotangent copies induced by a fiber
     map and a recurrence; input is stacked z = (q0, q1) of length 2n,
-    or a stack of such points on leading axes.  It is complex-safe when
-    both ``func`` and ``gamma`` are."""
+    or a stack of such points on leading axes: the Legendre legs
+    (``FiberMap.legs``) over the triple (q0, q1, gamma(q0, q1)).  It is
+    complex-safe when both ``func`` and ``gamma`` are."""
     n = fiber.dim
 
-    if fiber.kind == "minus":
-
-        def embed(z):
-            q0, q1 = z[..., :n], z[..., n:]
-            return np.concatenate([q0, fiber(q0, q1), q1, fiber(q1, eq(q0, q1))],
-                                  axis=-1)
-
-    else:
-
-        def embed(z):
-            q0, q1 = z[..., :n], z[..., n:]
-            q2 = eq(q0, q1)
-            return np.concatenate([q1, fiber(q0, q1), q2, fiber(q1, q2)], axis=-1)
+    def embed(z):
+        q0, q1 = z[..., :n], z[..., n:]
+        return fiber.legs(q0, q1, eq(q0, q1))
 
     return numkit.complex_safe(embed, fiber.func, eq.gamma)
 
@@ -410,16 +386,12 @@ class TwoFormField:
     def from_lagrangian(lag):
         """The pair-space two-form of a discrete Lagrangian; complex-safe,
         and so computed over leading axes, when ``lag.d12`` is."""
-        from .lagrangian import lagrangian_two_form, pair_form_matrix
+        from .lagrangian import pair_form_matrix
 
         n = lag.dim
-        if numkit.is_complex_safe(lag.d12):
-            return TwoFormField(dim=2 * n, coeff=numkit.complex_safe(
-                lambda z: pair_form_matrix(lag.d12(z[..., :n], z[..., n:]))))
-        return TwoFormField(
-            dim=2 * n,
-            coeff=lambda z: lagrangian_two_form(lag, z[:n], z[n:]),
-        )
+        d12 = lag.D12 if lag.d12 is None else lag.d12
+        return TwoFormField(dim=2 * n, coeff=numkit.complex_safe(
+            lambda z: pair_form_matrix(np.asarray(d12(z[..., :n], z[..., n:]))), lag.d12))
 
 
 def two_form_checks(omega: TwoFormField, z, flow: Callable | None = None,
@@ -491,34 +463,17 @@ def chc_classical(phi: Callable, jet):
     velocity block) vanish identically iff phi is the Euler-Lagrange
     expression of some regular Lagrangian.  Total time derivatives are
     expanded along the supplied jet, including the third-derivative
-    component (``_jet_jacobians``).  Jets stacked on a leading axis, each
+    component: phi's slot Jacobians and their time derivatives come from
+    ``numkit.slot_jacobians``.  Jets stacked on a leading axis, each
     member of shape (S, n), give stacks of the residuals.
     """
     q, qd, qdd, qddd = (np.atleast_1d(np.asarray(p, dtype=float)) for p in jet)
-    n = q.shape[-1]
-    flat = numkit.complex_safe(
-        lambda zz: phi(zz[..., :n], zz[..., n:2 * n], zz[..., 2 * n:]), phi)
-    jac, dt_jac = _jet_jacobians(flat, np.concatenate([q, qd, qdd], axis=-1),
-                                 np.concatenate([qd, qdd, qddd], axis=-1))
-    aq, ad, add = jac[..., :n], jac[..., n:2 * n], jac[..., 2 * n:]
-    dt_ad, dt_add = dt_jac[..., n:2 * n], dt_jac[..., 2 * n:]
+    (aq, ad, add), (_, dt_ad, dt_add) = numkit.slot_jacobians(
+        phi, (q, qd, qdd), phi, along=(qd, qdd, qddd))
     r1 = add - _transpose(add)
     r2 = (aq - _transpose(aq)) - 0.5 * (dt_ad - _transpose(dt_ad))
     r3 = (ad + _transpose(ad)) - (dt_add + _transpose(dt_add))
     return r1, r2, r3
-
-
-def _jet_jacobians(flat: Callable, z, zdot):
-    """The Jacobian of ``flat`` at z and its total time derivative along
-    zdot.  The Jacobian is order-4 differences, or the complex step when
-    ``flat`` is complex-safe; its time derivative is the order-4 stencil
-    along zdot applied to it (a complex step cannot be nested in
-    another), with all stencil points of a stack in one call.  For
-    unmarked callables the nested stencils leave a noise floor near
-    1e-9."""
-    jac = numkit.fd_jacobian4(flat, z)
-    dt_jac = numkit.fd_directional4(lambda zz: numkit.fd_jacobian4(flat, zz), z, zdot)
-    return jac, dt_jac
 
 
 def chc_implicit(fiber: Callable, ode: ImplicitSOdE, q, qd, qdd=None):
@@ -533,23 +488,18 @@ def chc_implicit(fiber: Callable, ode: ImplicitSOdE, q, qd, qdd=None):
     be regular (SingularJacobian otherwise).
 
     Points stacked on a leading axis (S, n) give stacks of the
-    residuals.  F's Jacobian and its time derivative along (qd, qdd)
-    come from ``_jet_jacobians``; phi's slot Jacobians and C come from
-    ``ode.jacobians``.
+    residuals.  F's slot Jacobians and their time derivatives along
+    (qd, qdd) come from ``numkit.slot_jacobians``; phi's slot Jacobians
+    and C come from ``ode.jacobians``.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     qd = np.atleast_1d(np.asarray(qd, dtype=float))
-    n = q.shape[-1]
     if qdd is None:
         qdd = ode.solve_last(q, qd, np.zeros_like(q))
     qdd = np.atleast_1d(np.asarray(qdd, dtype=float))
 
-    z = np.concatenate([q, qd], axis=-1)
-    flat = numkit.complex_safe(lambda zz: fiber(zz[..., :n], zz[..., n:]), fiber)
-    jac, dt_jac = _jet_jacobians(flat, z, np.concatenate([qd, qdd], axis=-1))
-    fq, fd = jac[..., :n], jac[..., n:]
-    dt_fq, dt_fd = dt_jac[..., :n], dt_jac[..., n:]
-
+    (fq, fd), (dt_fq, dt_fd) = numkit.slot_jacobians(fiber, (q, qd), fiber,
+                                                     along=(qd, qdd))
     jq, jd, cmat = ode.jacobians(q, qd, qdd)
     fd_cinv = _transpose(numkit.lu_solve(_transpose(cmat), _transpose(fd)))  # Fd @ C^{-1}
 

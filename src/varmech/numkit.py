@@ -31,8 +31,13 @@ are fixed here once:
   (ihc takes the time derivative of a Jacobian so).  The catalogue's
   fiber maps, recurrences and energy monitors carry the mark, as do
   extended-disk's and harmonic-exact's ``d12`` and implicit-exp's
-  force law, ``c`` and momentum, and so do the embeddings, slot maps
-  and two-form fields built from marked parts;
+  force law, ``c`` and momentum, and so do the embeddings and two-form
+  fields built from marked parts;
+* every derivative of a multi-slot callable slot by slot runs in
+  ``slot_jacobians``: one ``fd_jacobian4`` of the slots joined on their
+  last axis, by a map that inherits the mark of its parts, cut back
+  into one block per slot, and along a direction per slot the time
+  derivative of those blocks;
 * every linear system goes through one path, ``lu_solve``: LAPACK's
   partial-pivot LU, called as numpy's gesv gufunc, plus a row-scaled
   conditioning test, so a singular or near-singular Jacobian surfaces
@@ -323,6 +328,41 @@ def fd_mixed_hessian(f, a, b):
     return _central(grad_b, a, _CROSS, "fd_mixed_hessian").T
 
 
+def slot_jacobians(f, slots, *parts, along=None):
+    """The Jacobian of ``f(*slots)`` in each of its slots, from one
+    ``fd_jacobian4`` of ``f`` as a map of the slots joined on their last
+    axis.
+
+    The joined map is complex-safe exactly when every one of ``parts``
+    is, so a marked ``f`` is differentiated by the complex step and an
+    unmarked one by order-4 differences; at least one part is needed,
+    since ``complex_safe`` with no parts marks unconditionally.  Slots
+    stacked on leading axes give stacks of blocks.  Returns one block
+    per slot, (..., m, len(slot)).  With ``along``, one direction per
+    slot, it returns (blocks, time derivatives): the order-4 derivative
+    of the Jacobian along the joined direction (``fd_directional4``, a
+    complex step cannot be nested in another), with all stencil points
+    of a stack in one call, split into the same blocks.  For unmarked
+    callables the nested stencils leave a noise floor near 1e-9.
+    """
+    if not parts:
+        raise TypeError("slot_jacobians needs the parts whose mark it inherits")
+    slots = [np.asarray(s, dtype=float) for s in slots]
+    stops = np.cumsum([s.shape[-1] for s in slots]).tolist()
+    # slices, not np.split: an unmarked f is called once per stencil point
+    cuts = [slice(start, stop) for start, stop in zip([0] + stops, stops)]
+    joined = complex_safe(lambda z: f(*(z[..., cut] for cut in cuts)), *parts)
+    z = np.concatenate(slots, axis=-1)
+    jac = fd_jacobian4(joined, z)
+    blocks = tuple(jac[..., cut] for cut in cuts)
+    if along is None:
+        return blocks
+    dt_jac = fd_directional4(lambda zz: fd_jacobian4(joined, zz), z,
+                             np.concatenate([np.asarray(d, dtype=float) for d in along],
+                                            axis=-1))
+    return blocks, tuple(dt_jac[..., cut] for cut in cuts)
+
+
 def antisymmetrize(m):
     """Antisymmetric part (M - M^T) / 2 of a matrix, or of each matrix of
     a stack."""
@@ -348,9 +388,11 @@ def lu_solve(a, rhs):
 
     ``a`` may also be a stack of matrices (S, n, n), with ``rhs`` a stack
     of vectors (S, n) or of matrices (S, n, k): one call solves them and
-    each member passes the same test, so the solution is that of solving
-    the members one by one, and the first member that fails raises what
-    ``lu_solve`` raises for it alone.
+    each member passes the same test.  gesv solves each member as it
+    solves it alone (a singular member comes back as NaNs, the others
+    finite), so the solution is that of solving the members one by one,
+    and the first member that fails raises what ``lu_solve`` raises for
+    it alone, without solving it again.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -372,8 +414,10 @@ def lu_solve(a, rhs):
     if passed.all() if a.ndim == 3 else passed:
         return x
     if a.ndim == 3:
-        # solved one by one, the first member that fails raises
-        return np.stack([lu_solve(m, r) for m, r in zip(a, rhs)])
+        # each member has its solo bits, so the first that fails raises
+        # its solo error
+        i = int(np.argmin(passed))
+        x, a, rhs, size, scaled_rhs = x[i], a[i], rhs[i], size[i], scaled_rhs[i]
     if np.isnan(x).all() and np.isfinite(a).all() and np.isfinite(rhs).all():
         # gesv found an exactly zero pivot
         raise SingularJacobian("matrix is singular: Singular matrix")

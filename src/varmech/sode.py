@@ -106,15 +106,9 @@ class ImplicitSOdE:
         Jacobian of the map (q0, q1, q2) -> phi: the complex step for a
         complex-safe ``phi``, order-4 differences otherwise.  C is the
         analytic ``c`` when given.  Triples stacked on leading axes give
-        stacks of all three."""
-        n = self.dim
-        q0, q1, q2 = (np.asarray(q, dtype=float) for q in (q0, q1, q2))
-        jac = numkit.fd_jacobian4(
-            numkit.complex_safe(lambda z: self(z[..., :n], z[..., n:2 * n], z[..., 2 * n:]),
-                                self.phi),
-            np.concatenate([q0, q1, q2], axis=-1))
-        cmat = jac[..., 2 * n:] if self.c is None else self.C(q0, q1, q2)
-        return jac[..., :n], jac[..., n:2 * n], cmat
+        stacks of all three (``numkit.slot_jacobians``)."""
+        d0, d1, d2 = numkit.slot_jacobians(self, (q0, q1, q2), self.phi)
+        return d0, d1, d2 if self.c is None else self.C(q0, q1, q2)
 
     def solve_last(self, q0, q1, guess, *, tol: float | None = None):
         """The last slot solving phi(q0, q1, .) = 0, by Newton from

@@ -263,14 +263,14 @@ class RollingDisk:
         """Embedding of the six-dimensional constraint chart
         (theta0, phi0, x0, y0, theta1, phi1) into two cotangent copies,
         completing (x1, y1) by the rule and advancing by the closed
-        form.  Feed the result to the isotropy pullback; it is
-        complex-safe when ``fiber``'s ``func`` is."""
+        form: the Legendre legs (``FiberMap.legs``) over the triple.
+        Feed the result to the isotropy pullback; it is complex-safe
+        when ``fiber``'s ``func`` is."""
         advance = self.reduced_recurrence(rule)
 
         def embed(z):
             q0, q1 = self.complete_pair(rule, z[..., :4], z[..., 4], z[..., 5])
-            q2 = advance(q0, q1)
-            return np.concatenate([q0, fiber(q0, q1), q1, fiber(q1, q2)], axis=-1)
+            return fiber.legs(q0, q1, advance(q0, q1))
 
         return complex_safe(embed, fiber.func, advance.gamma)
 

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -318,8 +319,6 @@ def test_check_with_nan_inside_stencil_exits_two(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:divide by zero encountered:RuntimeWarning")
 def test_isotropy_data_size_past_the_float_range_exits_two(tmp_path, capsys):
     # at h = 1e-160 the fiber map's slope 1/sin(h) squares past the float
     # range: a numerical failure naming the first sample, not a traceback
@@ -333,6 +332,24 @@ def test_isotropy_data_size_past_the_float_range_exits_two(tmp_path, capsys):
     first = sample_box(2, 2, seed=0)[0].tolist()
     assert capsys.readouterr().err == (
         f"numerical failure: isotropy: non-finite data size at point {first}\n")
+
+
+@pytest.mark.parametrize("args", [["dhc-implicit", "--system", "exp-recurrence",
+                                   "--box", "1e300"],
+                                  ["ihc", "--system", "implicit-exp", "--box", "1e10"]],
+                         ids=["dhc-implicit", "ihc"])
+def test_a_numerical_failure_prints_one_line_and_no_numpy_warning(args, tmp_path, capsys):
+    # exp overflows at these boxes: the NumericsError reports it, in one
+    # line, and numpy warns nothing, as on the console
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check"] + args + ["--points", "600", "--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"numerical failure: {args[0]} at point [")
+    assert not out.exists()
 
 
 def test_isotropy_on_rolling_disk_rejects_box(tmp_path, capsys):

@@ -168,6 +168,27 @@ def test_plus_from_minus_harmonic_closed_form():
     assert_allclose(plus.base(a, b), b)
 
 
+def test_fiber_map_legs_lay_out_both_legendre_legs():
+    # (q0, F01, q1, F12) for a minus map, (q1, F01, q2, F12) for a plus
+    # map, over stacked triples; complex points keep their dtype
+    rng = np.random.default_rng(5)
+    q0, q1, q2 = rng.uniform(-1.0, 1.0, (3, 4, 2))
+    func = numkit.complex_safe(lambda a, b: (b - a) / H + a[..., ::-1] * b)
+    minus = hz.FiberMap(dim=2, func=func)
+    plus = hz.FiberMap(dim=2, func=func, kind="plus")
+    f01, f12 = func(q0, q1), func(q1, q2)
+    assert minus.legs(q0, q1, q2).tobytes() == np.concatenate(
+        [q0, f01, q1, f12], axis=-1).tobytes()
+    assert plus.legs(q0, q1, q2).tobytes() == np.concatenate(
+        [q1, f01, q2, f12], axis=-1).tobytes()
+    z0, z1, z2 = (q + 1e-30j * rng.uniform(-1.0, 1.0, q.shape) for q in (q0, q1, q2))
+    legs = minus.legs(z0, z1, z2)
+    assert legs.dtype == complex
+    assert legs.tobytes() == np.concatenate(
+        [z0, func(z0, z1), z1, func(z1, z2)], axis=-1).tobytes()
+    assert plus.legs(z0, z1, z2).dtype == complex
+
+
 def test_plus_from_minus_rejects_forgetful_recurrence():
     eq = ExplicitSOdE(dim=2, gamma=lambda q0, q1: 2.0 * q1)
     with pytest.raises(SingularJacobian):

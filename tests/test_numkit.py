@@ -233,6 +233,59 @@ def test_complex_safe_mark_propagates_only_from_marked_parts():
                        "complex_safe", False)
 
 
+def _two_slot(a, b):
+    return np.stack([a[..., 0] * b[..., 1], np.sin(a[..., 1]) + b[..., 2],
+                     a[..., 0] * a[..., 1] * b[..., 0], np.exp(b[..., 1])], axis=-1)
+
+
+def _three_slot(a, b, c):
+    return np.stack([a[..., 0] * c[..., 2], np.cos(b[..., 1]) * c[..., 0],
+                     b[..., 0] * c[..., 1] ** 2], axis=-1)
+
+
+@pytest.mark.parametrize("f, sizes", [(_two_slot, (2, 3)), (_three_slot, (1, 2, 3))],
+                         ids=["two-slots", "three-slots"])
+@pytest.mark.parametrize("marked", [True, False], ids=["marked", "unmarked"])
+@pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "stacked"])
+def test_slot_jacobians_are_the_columns_of_the_joined_jacobian(f, sizes, marked, lead):
+    # one fd_jacobian4 of the hand-joined map, cut into its slots' columns;
+    # along a direction per slot, fd_directional4 of that Jacobian
+    rng = np.random.default_rng(len(sizes) + len(lead))
+    slots = [rng.uniform(-1.0, 1.0, lead + (k,)) for k in sizes]
+    along = [rng.uniform(-1.0, 1.0, lead + (k,)) for k in sizes]
+    g = numkit.complex_safe(lambda *q: f(*q)) if marked else (lambda *q: f(*q))
+    stops = np.cumsum(sizes).tolist()
+    cols = [slice(start, stop) for start, stop in zip([0] + stops, stops)]
+    joined = lambda z: g(*(z[..., c] for c in cols))
+    if marked:
+        joined = numkit.complex_safe(joined)
+    z = np.concatenate(slots, axis=-1)
+    jac = numkit.fd_jacobian4(joined, z)
+    dt_jac = numkit.fd_directional4(lambda zz: numkit.fd_jacobian4(joined, zz), z,
+                                    np.concatenate(along, axis=-1))
+    blocks = numkit.slot_jacobians(g, slots, g)
+    again, dt_blocks = numkit.slot_jacobians(g, slots, g, along=along)
+    assert len(blocks) == len(dt_blocks) == len(sizes)
+    for c, block, same, dt_block in zip(cols, blocks, again, dt_blocks):
+        assert block.shape == lead + (jac.shape[-2], c.stop - c.start)
+        assert block.tobytes() == jac[..., c].tobytes() == same.tobytes()
+        assert dt_block.tobytes() == dt_jac[..., c].tobytes()
+
+
+def test_slot_jacobians_of_an_unmarked_part_are_the_order_4_ones():
+    # the joined map is marked exactly when every part is
+    marked = numkit.complex_safe(lambda a, b: _two_slot(a, b))
+    plain = lambda a, b: _two_slot(a, b)
+    slots = (np.array([0.3, -0.7]), np.array([0.2, 0.9, -0.4]))
+    order4 = numkit.slot_jacobians(plain, slots, plain)
+    step = numkit.slot_jacobians(marked, slots, marked)
+    mixed = numkit.slot_jacobians(marked, slots, marked, plain)
+    for four, exact, got in zip(order4, step, mixed):
+        assert got.tobytes() == four.tobytes() != exact.tobytes()
+    with pytest.raises(TypeError, match="parts"):
+        numkit.slot_jacobians(marked, slots)
+
+
 def test_pointwise_lifts_an_unmarked_callable_over_stacked_points():
     calls = []
 
@@ -395,6 +448,33 @@ def test_lu_solve_on_a_stack_raises_for_the_first_failing_member():
     assert numkit.lu_solve(a[[0, 2]], rhs[[0, 2]]).tolist() == [[1e3, 0.0], [0.5, 0.5]]
     with pytest.raises(DomainError, match="square"):
         numkit.lu_solve(np.ones((3, 2, 3)), np.ones((3, 2)))
+
+
+_SINGULAR = {"exactly-singular": [[1.0, 2.0], [2.0, 4.0]],
+             "near-singular": [[1.0, 1.0], [1.0, 1.0 + 1e-15]]}
+
+
+@pytest.mark.parametrize("kind", sorted(_SINGULAR))
+@pytest.mark.parametrize("at", [0, 3, 6], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("columns", [None, 3], ids=["vector", "matrix"])
+def test_a_failing_stack_raises_its_first_failing_members_solo_error_in_one_solve(
+        kind, at, columns, monkeypatch):
+    # gesv solves each member of a stack as it solves it alone, so the
+    # stack's error is read off its own solve: lu_solve is entered once
+    rng = np.random.default_rng(at)
+    a = rng.normal(size=(7, 2, 2)) + 3.0 * np.eye(2)
+    a[at] = _SINGULAR[kind]
+    rhs = rng.normal(size=(7, 2) if columns is None else (7, 2, columns))
+    with pytest.raises(SingularJacobian) as alone:
+        numkit.lu_solve(a[at], rhs[at])
+    calls = []
+    solve = numkit.lu_solve
+    monkeypatch.setattr(numkit, "lu_solve", lambda *args: calls.append(1) or solve(*args))
+    with pytest.raises(SingularJacobian) as stacked:
+        numkit.lu_solve(a, rhs)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+    assert len(calls) == 1
 
 
 def test_lu_solve_matrix_rhs_is_row_scaled():
