@@ -226,7 +226,7 @@ def plus_from_minus(fiber: FiberMap, eq: ExplicitSOdE, probe=None) -> FiberMap:
         raise DomainError("plus_from_minus needs a minus-type fiber map")
     if probe is not None:
         q0, q1 = (np.asarray(p, dtype=float) for p in probe)
-        j = numkit.fd_jacobian4(lambda a: eq(a, q1), q0)
+        j = numkit.slot_jacobians(eq, (q0, q1), eq.gamma)[0]
         if np.any(np.linalg.norm(j, axis=1) < 1e-10) or not numkit.is_regular(j):
             raise SingularJacobian(
                 "recurrence has singular first-slot Jacobian at the probe; "

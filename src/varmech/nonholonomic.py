@@ -11,13 +11,13 @@ for the new point q2 and the multipliers lambda, where the discrete
 constraint averages w along the segment according to a quadrature rule
 and contracts with the divided difference (q2 - q1)/h.
 
-The rules are defined by interior nodes a*qk + b*qk1 with weights; the
-usual menagerie (midpoint, trapezoidal, the one-parameter family
-interpolating them, and the two one-sided endpoint rules) is provided,
-plus a small parser for selecting rules from strings on a command
-line.  Different rules give dynamics with visibly different energy
-behavior even though all are consistent discretizations of the same
-constraint distribution.
+The rules are defined by interior nodes a*qk + b*qk1 with weights.  The
+named ones (midpoint, trapezoidal and the two one-sided endpoint rules)
+are a table of node tuples that ``rule_from_spec`` reads, next to the
+one-parameter family ``alpha_rule`` interpolating midpoint and
+trapezoidal; any other node tuple makes a custom rule.  Different rules
+give dynamics with visibly different energy behavior even though all
+are consistent discretizations of the same constraint distribution.
 """
 
 from __future__ import annotations
@@ -49,12 +49,13 @@ class DiscretizationRule:
         return [a * qk + b * qk1 for a, b, _ in self.nodes]
 
 
-def midpoint_rule():
-    return DiscretizationRule("midpoint", ((0.5, 0.5, 1.0),))
-
-
-def trapezoidal_rule():
-    return DiscretizationRule("trapezoidal", ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5)))
+# the named rules' nodes; the alpha family is parsed apart
+_NAMED_RULES = {
+    "midpoint": ((0.5, 0.5, 1.0),),
+    "trapezoidal": ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5)),
+    "euler-a": ((1.0, 0.0, 1.0),),
+    "euler-b": ((0.0, 1.0, 1.0),),
+}
 
 
 def alpha_rule(alpha):
@@ -67,26 +68,12 @@ def alpha_rule(alpha):
     )
 
 
-def euler_a_rule():
-    return DiscretizationRule("euler-a", ((1.0, 0.0, 1.0),))
-
-
-def euler_b_rule():
-    return DiscretizationRule("euler-b", ((0.0, 1.0, 1.0),))
-
-
 def rule_from_spec(spec: str) -> DiscretizationRule:
     """Parse a rule name: midpoint, trapezoidal, euler-a, euler-b, or
     alpha:<value>."""
     spec = spec.strip().lower()
-    simple = {
-        "midpoint": midpoint_rule,
-        "trapezoidal": trapezoidal_rule,
-        "euler-a": euler_a_rule,
-        "euler-b": euler_b_rule,
-    }
-    if spec in simple:
-        return simple[spec]()
+    if spec in _NAMED_RULES:
+        return DiscretizationRule(spec, _NAMED_RULES[spec])
     if spec.startswith("alpha:"):
         try:
             value = float(spec.split(":", 1)[1])
@@ -102,8 +89,9 @@ class NonholonomicSystem:
 
     constraint_forms(q) returns the m-by-n matrix whose rows are the
     one-forms; constraint_grad, when given, returns the (m, n, n)
-    derivative tensor grad[a, s, j] = d w[a, s] / d q_j used for the
-    analytic Newton Jacobian (finite differences otherwise).
+    derivative tensor grad[a, s, j] = d w[a, s] / d q_j.  Together with
+    the Lagrangian's d12 it makes the analytic Newton Jacobian of
+    ``dla_step``; without either, Newton differences the whole residual.
     """
 
     lagrangian: DiscreteLagrangian
@@ -117,43 +105,20 @@ class NonholonomicSystem:
         return self.lagrangian.dim
 
     def forms(self, q):
-        """The constraint matrix at q, checked to be (m, n)."""
-        return _node_forms(self, [np.asarray(q, dtype=float)])[0]
-
-
-def _node_forms(system, points):
-    """The constraint matrices at each of ``points`` (the node points of
-    a segment), each checked to be (m, n): DomainError otherwise."""
-    forms = system.constraint_forms
-    shape = (system.n_constraints, system.dim)
-    ws = []
-    for point in points:
-        w = np.asarray(forms(point), dtype=float)
+        """The constraint matrix at q, checked to be (m, n): DomainError
+        otherwise."""
+        w = np.asarray(self.constraint_forms(np.asarray(q, dtype=float)), dtype=float)
+        shape = (self.n_constraints, self.dim)
         if w.shape != shape:
             raise DomainError(f"constraint matrix has shape {w.shape}, expected {shape}")
-        ws.append(w)
-    return ws
+        return w
 
 
 def _constraint_at_nodes(rule, v, ws, out):
     """discrete_constraint from the divided difference ``v`` and the
-    node forms ``ws`` of ``_node_forms``, added into ``out`` (zeros)."""
+    forms ``ws`` at the rule's node points, added into ``out`` (zeros)."""
     for (_, _, wt), w in zip(rule.nodes, ws):
         out += wt * (w @ v)
-    return out
-
-
-def _grad_jacobian_at_nodes(system, rule, v, points, ws, out):
-    """The analytic _constraint_jacobian, written into ``out`` (m, n),
-    from ``v`` and the segment's ``_node_forms``; needs
-    ``system.constraint_grad``."""
-    h = system.lagrangian.h
-    grad = system.constraint_grad
-    out[...] = 0.0
-    for (_, b, wt), point, w in zip(rule.nodes, points, ws):
-        out += (wt / h) * w
-        if b != 0.0:
-            out += (wt * b) * (v @ np.asarray(grad(point), dtype=float))
     return out
 
 
@@ -161,20 +126,9 @@ def discrete_constraint(system: NonholonomicSystem, rule: DiscretizationRule, qk
     """The rule's discretization of the constraints on a segment."""
     qk = np.asarray(qk, dtype=float)
     qk1 = np.asarray(qk1, dtype=float)
-    ws = _node_forms(system, rule.points(qk, qk1))
+    ws = [system.forms(point) for point in rule.points(qk, qk1)]
     return _constraint_at_nodes(rule, (qk1 - qk) / system.lagrangian.h, ws,
                                 np.zeros(system.n_constraints))
-
-
-def _constraint_jacobian(system, rule, q1, q2):
-    """Derivative of the discrete constraint with respect to q2."""
-    if system.constraint_grad is None:
-        return numkit.fd_jacobian(
-            lambda q: discrete_constraint(system, rule, q1, q), q2)
-    points = rule.points(q1, q2)
-    ws = _node_forms(system, points)
-    return _grad_jacobian_at_nodes(system, rule, (q2 - q1) / system.lagrangian.h,
-                                   points, ws, np.empty((system.n_constraints, system.dim)))
 
 
 def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
@@ -189,12 +143,15 @@ def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
     at the residual's rounding level, which grows with |q| over long
     runs (see ``numkit.newton_solve``).
 
-    The Newton matrix [[D12, -w(q1)^T], [dC/dq2, 0]] is one block per
-    step, refilled in place each iterate.  Newton calls the Jacobian at
-    the iterate of its last residual, whose node points, forms and
-    divided difference the analytic constraint Jacobian reuses: one
-    forms evaluation per node per iterate.  The Lagrangian's analytic
-    d1 and d12 are called directly, the D1/D12 fallbacks when absent.
+    The Jacobian follows the package's one policy: the analytic Newton
+    matrix [[D12, -w(q1)^T], [dC/dq2, 0]] when the system supplies all
+    of it, the Lagrangian's d12 and the system's constraint_grad, and
+    Newton's differences of the whole residual otherwise.  The matrix
+    is one block per step, refilled in place each iterate; Newton calls
+    it at the iterate of its last residual, whose node points, forms
+    and divided difference dC/dq2 reuses: one forms evaluation per node
+    per iterate.  The Lagrangian's analytic d1 is called directly, the
+    D1 fallback when absent.
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
@@ -203,35 +160,38 @@ def dla_step(system: NonholonomicSystem, rule: DiscretizationRule, q0, q1,
     lag = system.lagrangian
     h = lag.h
     d1 = lag.D1 if lag.d1 is None else lag.d1
-    d12 = lag.D12 if lag.d12 is None else lag.d12
-    analytic = system.constraint_grad is not None
     d2_prev = lag.D2(q0, q1)
     w1t = system.forms(q1).T
     base = [(a * q1, b) for a, b, _ in rule.nodes]  # the q1 parts of the node points
-    last = [None, None, None, None]  # the last residual's iterate, v, node points and forms
+    last = [None, None, None]  # the last residual's v, node points and forms
 
     def residual(u):
         q2 = u[:n]
         points = [q1_part + b * q2 for q1_part, b in base]
-        ws = _node_forms(system, points)
+        ws = [system.forms(point) for point in points]
         v = (q2 - q1) / h
-        last[:] = u, v, points, ws
+        last[:] = v, points, ws
         r = np.zeros(n + m)
         r[:n] = d1(q1, q2) + d2_prev - w1t @ u[n:]
         _constraint_at_nodes(rule, v, ws, r[n:])
         return r
 
-    block = np.zeros((n + m, n + m))
-    block[:n, n:] = -w1t
+    jacobian = None
+    d12, grad = lag.d12, system.constraint_grad
+    if d12 is not None and grad is not None:
+        block = np.zeros((n + m, n + m))
+        block[:n, n:] = -w1t
 
-    def jacobian(u):
-        q2 = u[:n]
-        block[:n, :n] = d12(q1, q2)
-        if analytic and last[0] is u:
-            _grad_jacobian_at_nodes(system, rule, last[1], last[2], last[3], block[n:, :n])
-        else:
-            block[n:, :n] = _constraint_jacobian(system, rule, q1, q2)
-        return block
+        def jacobian(u):
+            v, points, ws = last
+            block[:n, :n] = d12(q1, u[:n])
+            dc = block[n:, :n]
+            dc[...] = 0.0
+            for (_, b, wt), point, w in zip(rule.nodes, points, ws):
+                dc += (wt / h) * w
+                if b != 0.0:
+                    dc += (wt * b) * (v @ np.asarray(grad(point), dtype=float))
+            return block
 
     guess = np.zeros(n + m)
     guess[:n] = 2 * q1 - q0

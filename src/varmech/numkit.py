@@ -52,7 +52,9 @@ are fixed here once:
   exception through untouched;
 * every Newton iteration runs in ``newton_solve``, for one point or for
   a stack of independent solves, whose unconverged members iterate
-  together, each with its own bits;
+  together, each with its own bits; every stepper passes it an analytic
+  Jacobian only when the system supplies all of it, and otherwise lets
+  it difference the whole residual;
 * the default Newton tolerance (``tol=None``) is floored at the
   residual's rounding level, which grows with the size of the points;
   a numeric ``tol`` is taken literally;

@@ -47,8 +47,7 @@ import numpy as np
 from .errors import DomainError, UnknownSystem
 from .helmholtz import FiberMap, TwoFormField, sample_box
 from .lagrangian import DiscreteLagrangian
-from .nonholonomic import (DiscretizationRule, NonholonomicSystem,
-                           midpoint_energy, midpoint_rule)
+from .nonholonomic import DiscretizationRule, NonholonomicSystem, midpoint_energy
 from .numkit import complex_safe
 from .sode import ExplicitSOdE, ImplicitSOdE
 

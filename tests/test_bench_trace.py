@@ -2,7 +2,8 @@
 
 ``bench/bench_trace.py`` wraps public functions by name; a refactor
 that renames or removes one of them breaks the traced benchmark.  This
-runs one small check and one short simulation under the tracer.
+runs one small check and two short simulations, one of them constrained,
+under the tracer.
 """
 
 from pathlib import Path
@@ -56,3 +57,15 @@ def test_tracer_binds_and_restores(bench_trace, tmp_path):
     assert stats["lagrangian.del_step"].calls == 5
     assert stats["cli.render_csv"].calls == 1
     assert tracer.fiber_evals > 0
+    # the constrained stepper, under a tracer of its own so the counts
+    # above stay those of one check and one unconstrained run
+    tracer = bench_trace.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["simulate", "--system", "rolling-disk", "--steps", "5",
+                         "--out", str(tmp_path / "disk.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert all(after[key] is before[key] for key in before)
+    assert tracer.stats["nonholonomic.dla_step"].calls == 5

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from varmech import numkit
 from varmech.errors import DomainError, StepFailure
 from varmech.lagrangian import DiscreteLagrangian
-from varmech.nonholonomic import (DiscretizationRule, NonholonomicSystem,
-                                  _constraint_jacobian, alpha_rule,
+from varmech.nonholonomic import (DiscretizationRule, NonholonomicSystem, alpha_rule,
                                   discrete_constraint, dla_simulate, dla_step,
-                                  euler_a_rule, euler_b_rule, midpoint_energy,
-                                  midpoint_rule, rule_from_spec,
-                                  trapezoidal_rule)
+                                  midpoint_energy, rule_from_spec)
 from varmech.numkit import PAIR_CHUNK, complex_safe, is_complex_safe, pair_series
 from varmech.systems import rolling_disk
 
@@ -36,9 +34,9 @@ def test_rule_from_spec_rejects_garbage():
 
 
 def test_alpha_endpoints_coincide_with_trapezoidal():
-    assert alpha_rule(0.0).nodes == trapezoidal_rule().nodes
+    assert alpha_rule(0.0).nodes == rule_from_spec("trapezoidal").nodes
     # alpha = 1 lists the same nodes in swapped order
-    assert sorted(alpha_rule(1.0).nodes) == sorted(trapezoidal_rule().nodes)
+    assert sorted(alpha_rule(1.0).nodes) == sorted(rule_from_spec("trapezoidal").nodes)
 
 
 def test_rule_points_are_convex_combinations():
@@ -54,8 +52,8 @@ def test_rule_points_are_convex_combinations():
 
 def test_discrete_constraint_vanishes_on_completed_pairs():
     disk = rolling_disk(H)
-    for rule in (midpoint_rule(), trapezoidal_rule(), alpha_rule(0.3),
-                 euler_a_rule(), euler_b_rule()):
+    for rule in map(rule_from_spec, ("midpoint", "trapezoidal", "alpha:0.3", "euler-a",
+                                     "euler-b")):
         q0, q1 = disk.initial_pair(rule)
         c = discrete_constraint(disk.system, rule, q0, q1)
         assert np.max(np.abs(c)) < 1e-12, rule.name
@@ -63,31 +61,61 @@ def test_discrete_constraint_vanishes_on_completed_pairs():
 
 def test_discrete_constraint_detects_slip():
     disk = rolling_disk(H)
-    rule = midpoint_rule()
+    rule = rule_from_spec("midpoint")
     q0, q1 = disk.initial_pair(rule)
     q1 = q1 + np.array([0.0, 0.0, 0.01, 0.0])
     c = discrete_constraint(disk.system, rule, q0, q1)
     assert np.max(np.abs(c)) > 1e-3
 
 
-def test_constraint_jacobian_matches_finite_differences():
+def _spy_on_newton(monkeypatch):
+    """Record the residual and the Jacobian each dla_step hands Newton."""
+    calls = []
+    solve = numkit.newton_solve
+
+    def spy(f, x0, *, jacobian=None, **kwargs):
+        calls.append((f, jacobian))
+        return solve(f, x0, jacobian=jacobian, **kwargs)
+
+    monkeypatch.setattr(numkit, "newton_solve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("d12, grad", [(True, True), (True, False), (False, True),
+                                       (False, False)])
+def test_newton_gets_a_jacobian_only_when_the_system_supplies_all_of_it(
+        monkeypatch, d12, grad):
     disk = rolling_disk(H)
-    blind = NonholonomicSystem(
-        lagrangian=disk.system.lagrangian,
-        n_constraints=2,
-        constraint_forms=disk.system.constraint_forms,
-    )
+    lag = disk.system.lagrangian
+    variant = DiscreteLagrangian(dim=4, h=H, value=lag.value, d1=lag.d1, d2=lag.d2,
+                                 d12=lag.d12 if d12 else None)
+    system = NonholonomicSystem(lagrangian=variant, n_constraints=2,
+                                constraint_forms=disk.system.constraint_forms,
+                                constraint_grad=disk.system.constraint_grad if grad else None)
     rule = alpha_rule(0.3)
-    q1 = np.array([0.4, 0.2, 0.9, 1.1])
-    q2 = np.array([0.45, 0.23, 0.93, 1.13])
-    analytic = _constraint_jacobian(disk.system, rule, q1, q2)
-    numeric = _constraint_jacobian(blind, rule, q1, q2)
-    assert_allclose(analytic, numeric, atol=1e-7)
+    calls = _spy_on_newton(monkeypatch)
+    dla_step(system, rule, *disk.initial_pair(rule))
+    assert [jacobian is not None for _, jacobian in calls] == [d12 and grad]
+
+
+def test_analytic_newton_matrix_matches_finite_differences(monkeypatch):
+    # under alpha:0.3 both nodes have b != 0, so every term of dC/dq2 is
+    # exercised, and the D12 block comes along with it
+    disk = rolling_disk(H)
+    rule = alpha_rule(0.3)
+    calls = _spy_on_newton(monkeypatch)
+    dla_step(disk.system, rule, np.array([0.35, 0.17, 0.87, 1.07]),
+             np.array([0.4, 0.2, 0.9, 1.1]))
+    residual, jacobian = calls[0]
+    u = np.array([0.45, 0.23, 0.93, 1.13, 0.7, -0.4])  # off the constraint manifold
+    residual(u)
+    analytic = jacobian(u).copy()
+    assert_allclose(analytic, numkit.fd_jacobian(residual, u), atol=1e-7)
 
 
 def test_midpoint_step_reproduces_uniform_angles():
     disk = rolling_disk(H)
-    rule = midpoint_rule()
+    rule = rule_from_spec("midpoint")
     q0, q1 = disk.initial_pair(rule)
     q2, lam = dla_step(disk.system, rule, q0, q1)
     assert_allclose(q2[0], 0.55, atol=1e-12)
@@ -103,7 +131,7 @@ def test_midpoint_step_reproduces_uniform_angles():
 
 def test_midpoint_multipliers_match_closed_form():
     disk = rolling_disk(H)
-    rule = midpoint_rule()
+    rule = rule_from_spec("midpoint")
     q0, q1 = disk.initial_pair(rule)
     q2, lam = dla_step(disk.system, rule, q0, q1)
     dth_new, dth_old = q2[0] - q1[0], q1[0] - q0[0]
@@ -117,8 +145,8 @@ def test_midpoint_multipliers_match_closed_form():
 def test_endpoint_rules_scale_rolling_increment():
     disk = rolling_disk(H)
     for rule, factor_of in (
-        (euler_a_rule(), lambda dph: (1 + math.cos(dph)) / 2),
-        (euler_b_rule(), lambda dph: 2 / (1 + math.cos(dph))),
+        (rule_from_spec("euler-a"), lambda dph: (1 + math.cos(dph)) / 2),
+        (rule_from_spec("euler-b"), lambda dph: 2 / (1 + math.cos(dph))),
     ):
         q0, q1 = disk.initial_pair(rule)
         q2, _ = dla_step(disk.system, rule, q0, q1)
@@ -129,7 +157,7 @@ def test_endpoint_rules_scale_rolling_increment():
 
 def test_steps_match_closed_form_recurrence():
     disk = rolling_disk(H)
-    for rule in (midpoint_rule(), alpha_rule(0.7), euler_b_rule()):
+    for rule in (rule_from_spec("midpoint"), alpha_rule(0.7), rule_from_spec("euler-b")):
         q0, q1 = disk.initial_pair(rule)
         advance = disk.reduced_recurrence(rule)
         qa, qb = q0, q1
@@ -142,7 +170,7 @@ def test_steps_match_closed_form_recurrence():
 
 def test_simulate_shapes_and_energy_constancy():
     disk = rolling_disk(H)
-    rule = midpoint_rule()
+    rule = rule_from_spec("midpoint")
     q0, q1 = disk.initial_pair(rule)
     points, energies, lams = dla_simulate(disk.system, rule, q0, q1, 40,
                                           disk.energies)
@@ -159,7 +187,7 @@ def test_long_catalogue_run_completes():
     # The catalogue pair used to stall at step 10219, where the residual's
     # rounding level (growing with |q| / h^2) passed the Newton tolerance.
     disk = rolling_disk()
-    rule = midpoint_rule()
+    rule = rule_from_spec("midpoint")
     points, _, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 10_300)
     assert points.shape == (10_302, 4)
     constraint = max(np.max(np.abs(discrete_constraint(disk.system, rule, a, b)))
@@ -182,13 +210,13 @@ def test_simulate_wraps_failures_with_step_index():
         constraint_forms=lambda q: np.array([[1.0, 0.0]]),
     )
     with pytest.raises(StepFailure) as info:
-        dla_simulate(system, midpoint_rule(), np.zeros(2), np.ones(2), 3)
+        dla_simulate(system, rule_from_spec("midpoint"), np.zeros(2), np.ones(2), 3)
     assert info.value.step == 0
 
 
 def test_simulate_rejects_negative_steps():
     disk = rolling_disk(H)
-    rule = midpoint_rule()
+    rule = rule_from_spec("midpoint")
     with pytest.raises(DomainError):
         dla_simulate(disk.system, rule, *disk.initial_pair(rule), -1)
 
@@ -196,7 +224,7 @@ def test_simulate_rejects_negative_steps():
 def test_rest_point_stays_at_rest():
     disk = rolling_disk(H)
     q = np.array([0.2, 1.1, -0.3, 0.7])
-    q2, lam = dla_step(disk.system, midpoint_rule(), q, q)
+    q2, lam = dla_step(disk.system, rule_from_spec("midpoint"), q, q)
     assert_allclose(q2, q, atol=1e-12)
     assert_allclose(lam, np.zeros(2), atol=1e-12)
 
@@ -234,14 +262,14 @@ def test_custom_rule_nodes_accepted():
 def test_simulate_rejects_seed_pairs_off_the_system_dim(q0, q1):
     disk = rolling_disk(H)
     with pytest.raises(DomainError, match="seed pair"):
-        dla_simulate(disk.system, midpoint_rule(), q0, q1, 3)
+        dla_simulate(disk.system, rule_from_spec("midpoint"), q0, q1, 3)
 
 
 def test_step_checks_forms_shape_at_interior_nodes():
     # forms are well shaped at q1 (the multiplier rows) and wrong only at
     # the midpoint nodes the constraint residual evaluates
     disk = rolling_disk(H)
-    rule = midpoint_rule()
+    rule = rule_from_spec("midpoint")
     q0, q1 = disk.initial_pair(rule)
 
     def forms(q):
@@ -263,19 +291,21 @@ def _run(system, rule, q0, q1, steps):
     return np.array(points)
 
 
-def test_steps_without_analytic_derivatives_follow_the_analytic_run():
+@pytest.mark.parametrize("spec", ["midpoint", "alpha:0.3", "euler-b"])
+def test_steps_without_analytic_derivatives_follow_the_analytic_run(spec):
     disk = rolling_disk(H)
     lag = disk.system.lagrangian
-    rule = midpoint_rule()
+    rule = rule_from_spec(spec)
     q0, q1 = disk.initial_pair(rule)
     reference = _run(disk.system, rule, q0, q1, 100)
-    no_grad = NonholonomicSystem(lagrangian=lag, n_constraints=2,
-                                 constraint_forms=disk.system.constraint_forms)
+    forms, grad = disk.system.constraint_forms, disk.system.constraint_grad
+    no_grad = NonholonomicSystem(lagrangian=lag, n_constraints=2, constraint_forms=forms)
     value_and_d2 = DiscreteLagrangian(dim=4, h=H, value=lag.value, d2=lag.d2)
     no_d1_d12 = NonholonomicSystem(lagrangian=value_and_d2, n_constraints=2,
-                                   constraint_forms=disk.system.constraint_forms,
-                                   constraint_grad=disk.system.constraint_grad)
-    for system in (no_grad, no_d1_d12):
+                                   constraint_forms=forms, constraint_grad=grad)
+    neither = NonholonomicSystem(lagrangian=value_and_d2, n_constraints=2,
+                                 constraint_forms=forms)
+    for system in (no_grad, no_d1_d12, neither):
         assert_allclose(_run(system, rule, q0, q1, 100), reference, rtol=0, atol=1e-7)
 
 
@@ -303,7 +333,7 @@ def test_midpoint_energy_inherits_the_mark_of_its_density():
 
 def test_simulate_accepts_plain_pair_energies():
     disk = rolling_disk(H)
-    rule = midpoint_rule()
+    rule = rule_from_spec("midpoint")
     plain = {name: (lambda a, b, fn=fn: fn(a, b)) for name, fn in disk.energies.items()}
     traj, series, _ = dla_simulate(disk.system, rule, *disk.initial_pair(rule), 50,
                                    energies=plain)

@@ -8,7 +8,7 @@ from varmech import numkit, systems
 from varmech.errors import DomainError, UnknownSystem
 from varmech.helmholtz import functional_residual_1d, sample_box
 from varmech.lagrangian import del_residual, simulate
-from varmech.nonholonomic import euler_a_rule, midpoint_rule, rule_from_spec
+from varmech.nonholonomic import rule_from_spec
 from varmech.sode import implicit_step
 
 
@@ -81,14 +81,14 @@ def test_alternate_two_form_only_where_defined():
 
 def test_disk_initial_pair_documented_values():
     disk = systems.rolling_disk()
-    q0, q1 = disk.initial_pair(midpoint_rule())
+    q0, q1 = disk.initial_pair(rule_from_spec("midpoint"))
     assert_allclose(q0, [0.5, 0.3, 1.0, 1.0])
     assert q1[0] == 0.525 and q1[1] == 0.31
     mu = (0.3 + 0.31) / 2
     assert_allclose(q1[2], 1.0 + 0.025 * math.cos(mu), atol=1e-15)
     assert_allclose(q1[3], 1.0 + 0.025 * math.sin(mu), atol=1e-15)
     # euler-a evaluates the forms at the left endpoint instead
-    q0a, q1a = disk.initial_pair(euler_a_rule())
+    q0a, q1a = disk.initial_pair(rule_from_spec("euler-a"))
     assert_allclose(q1a[2], 1.0 + 0.025 * math.cos(0.3), atol=1e-15)
 
 
@@ -104,7 +104,7 @@ def test_disk_chart_samples_keep_increments_in_range():
 
 def test_disk_chart_embedding_shape_and_base():
     disk = systems.rolling_disk()
-    emb = disk.chart_embedding(disk.fibers["doubled-rate"], midpoint_rule())
+    emb = disk.chart_embedding(disk.fibers["doubled-rate"], rule_from_spec("midpoint"))
     z = disk.chart_samples(1, seed=0)[0]
     image = emb(z)
     assert image.shape == (16,)
